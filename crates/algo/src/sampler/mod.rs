@@ -14,6 +14,7 @@
 //! instead of the spec.
 
 mod edge_cache;
+mod marks;
 mod metapath;
 mod rejection;
 mod reservoir;
@@ -21,6 +22,7 @@ mod second_order;
 mod uniform;
 
 pub use edge_cache::{AliasSlot, EdgeAliasCache};
+pub use marks::NeighborMarks;
 pub use metapath::typed_reservoir;
 pub use rejection::node2vec_rejection;
 pub use reservoir::{node2vec_reservoir, weighted_reservoir};
@@ -81,7 +83,8 @@ pub struct SampleOutcome {
     /// Sequential words scanned from the neighbor list (reservoir methods,
     /// on-the-fly alias rows, second-order table builds).
     pub scanned: u32,
-    /// Random membership-probe reads (binary search in N(prev)).
+    /// Random membership-probe reads, as modelled for a binary search in
+    /// N(prev) (the host kernels may resolve membership more cheaply).
     pub membership_probes: u32,
     /// Which kernel produced this sample.
     pub method: SampleMethod,

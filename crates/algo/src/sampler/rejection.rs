@@ -39,6 +39,10 @@ fn bias(graph: &CsrGraph, prev: VertexId, x: VertexId, p: f64, q: f64) -> (f64, 
 /// `prev` is the previously visited vertex; pass `None` on the first hop,
 /// which degenerates to uniform sampling. Returns `None` for dead ends.
 ///
+/// Membership stays a binary search on the host too, unlike the scanning
+/// kernels' [`super::NeighborMarks`]: a step makes about one probe per
+/// trial, so marking all of `N(prev)` would cost more than it saves.
+///
 /// # Panics
 ///
 /// Panics if `p` or `q` is not strictly positive.

@@ -3,7 +3,8 @@
 //! The biased Node2Vec transition out of `cur` given `prev` is a fixed
 //! categorical distribution over `N(cur)` — it only *looks* dynamic
 //! because it is keyed by the edge `(prev, cur)`. Building its alias row
-//! once (O(deg(cur) + deg(prev)) with a sorted-merge membership pass) and
+//! once (O(deg(cur) + deg(prev)): mark `N(prev)` in the runtime's
+//! [`NeighborMarks`], then one O(1) membership test per neighbor) and
 //! caching it in an [`EdgeAliasCache`] turns every repeat traversal of
 //! that edge into two array reads, where rejection pays an expected
 //! `M / E[w]` candidate trials each with a binary-search membership probe.
@@ -18,14 +19,14 @@
 //! kernel when explicitly enabled, never silently under a legacy config.
 
 use super::{SampleMethod, SampleOutcome};
-use crate::sampler::{AliasSlot, EdgeAliasCache};
+use crate::sampler::{AliasSlot, EdgeAliasCache, NeighborMarks};
 use grw_graph::{AliasTables, CsrGraph, VertexId};
 use grw_rng::RandomSource;
 
 /// Builds the biased weight row for the transition `prev -> cur -> x`.
 ///
-/// Membership of `x` in `N(prev)` is decided by one sorted merge over the
-/// two (CSR-sorted) neighbor lists — O(deg(cur) + deg(prev)) total, not
+/// Membership of `x` in `N(prev)` is read from `marks` after marking
+/// `N(prev)` once — O(deg(cur) + deg(prev)) total, not
 /// O(deg(cur) · log deg(prev)).
 /// Returns `None` when every biased weight is non-positive — the
 /// reservoir kernel treats that row as a dead end, so the alias
@@ -38,6 +39,7 @@ fn biased_row(
     p: f64,
     q: f64,
     use_weights: bool,
+    marks: &mut NeighborMarks,
 ) -> Option<Box<[AliasSlot]>> {
     let neighbors = graph.neighbors(cur);
     let weights = if use_weights {
@@ -45,16 +47,12 @@ fn biased_row(
     } else {
         None
     };
-    let prev_neighbors = graph.neighbors(prev);
-    let mut j = 0usize;
+    marks.mark_neighbors(graph, prev);
     let mut row: Vec<f32> = Vec::with_capacity(neighbors.len());
     for (i, &x) in neighbors.iter().enumerate() {
-        while j < prev_neighbors.len() && prev_neighbors[j] < x {
-            j += 1;
-        }
         let bias = if x == prev {
             1.0 / p
-        } else if j < prev_neighbors.len() && prev_neighbors[j] == x {
+        } else if marks.contains(x) {
             1.0
         } else {
             1.0 / q
@@ -88,6 +86,9 @@ fn biased_row(
 /// [`super::node2vec_rejection`]). Returns `None` for dead ends,
 /// including rows whose biased weights are all non-positive.
 ///
+/// `marks` is the runtime's membership scratch, used only when a row is
+/// built.
+///
 /// The sample consumes exactly two draws (slot, coin) regardless of cache
 /// state: a hit and a rebuild produce bitwise-identical rows, so whether
 /// and how the cache evicts can never change a walk path.
@@ -107,6 +108,7 @@ pub fn second_order_alias<G: RandomSource>(
     q: f64,
     use_weights: bool,
     cache: Option<&mut EdgeAliasCache>,
+    marks: &mut NeighborMarks,
     rng: &mut G,
 ) -> Option<SampleOutcome> {
     assert!(p > 0.0 && q > 0.0, "Node2Vec parameters must be positive");
@@ -150,7 +152,7 @@ pub fn second_order_alias<G: RandomSource>(
             });
         }
     }
-    let row = biased_row(graph, cur, prev, p, q, use_weights)?;
+    let row = biased_row(graph, cur, prev, p, q, use_weights, marks)?;
     let local_index = pick(&row);
     if let Some(c) = cache {
         c.insert(prev, cur, row);
@@ -185,10 +187,12 @@ mod tests {
         // p = 2, q = 0.5: w(return to 1) = 0.5, w(2 ∈ N(1)) = 1, w(3) = 2.
         // Normalised: 1/7, 2/7, 4/7 — the rejection kernel's target.
         let mut rng = SplitMix64::new(42);
+        let mut marks = NeighborMarks::new();
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut rng).unwrap();
+            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut marks, &mut rng)
+                .unwrap();
             assert_eq!(o.alias_builds, 1, "uncached: every sample rebuilds");
             counts[o.local_index as usize] += 1;
         }
@@ -205,6 +209,7 @@ mod tests {
         let mut cached = EdgeAliasCache::new(1 << 16, 2);
         let mut rng_a = SplitMix64::new(7);
         let mut rng_b = SplitMix64::new(7);
+        let mut marks = NeighborMarks::new();
         let mut hits = 0;
         for _ in 0..2_000 {
             let a = second_order_alias(
@@ -215,10 +220,22 @@ mod tests {
                 0.5,
                 false,
                 Some(&mut cached),
+                &mut marks,
                 &mut rng_a,
             )
             .unwrap();
-            let b = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut rng_b).unwrap();
+            let b = second_order_alias(
+                &g,
+                0,
+                Some(1),
+                2.0,
+                0.5,
+                false,
+                None,
+                &mut marks,
+                &mut rng_b,
+            )
+            .unwrap();
             assert_eq!(a.local_index, b.local_index);
             hits += u64::from(a.cache_hits);
         }
@@ -232,10 +249,12 @@ mod tests {
         let g = fixture().with_weights(|src, dst, _| if (src, dst) == (0, 3) { 3.0 } else { 1.0 });
         // Weights {1, 1, 3} × biases {0.5, 1, 2} → {0.5, 1, 6} → 1/15, 2/15, 12/15.
         let mut rng = SplitMix64::new(13);
+        let mut marks = NeighborMarks::new();
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, None, &mut rng).unwrap();
+            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, None, &mut marks, &mut rng)
+                .unwrap();
             counts[o.local_index as usize] += 1;
         }
         let expect = [1.0 / 15.0, 2.0 / 15.0, 12.0 / 15.0];
@@ -249,9 +268,14 @@ mod tests {
     fn first_hop_is_uniform_and_dead_ends_are_none() {
         let g = fixture();
         let mut rng = SplitMix64::new(1);
-        let o = second_order_alias(&g, 0, None, 2.0, 0.5, false, None, &mut rng).unwrap();
+        let mut marks = NeighborMarks::new();
+        let o =
+            second_order_alias(&g, 0, None, 2.0, 0.5, false, None, &mut marks, &mut rng).unwrap();
         assert_eq!(o.method, SampleMethod::Uniform);
-        assert!(second_order_alias(&g, 3, Some(0), 2.0, 0.5, false, None, &mut rng).is_none());
+        assert!(
+            second_order_alias(&g, 3, Some(0), 2.0, 0.5, false, None, &mut marks, &mut rng)
+                .is_none()
+        );
     }
 
     #[test]
@@ -261,10 +285,12 @@ mod tests {
         // to uniform. Weights {1, 1, 3} → 1/5, 1/5, 3/5.
         let g = fixture().with_weights(|src, dst, _| if (src, dst) == (0, 3) { 3.0 } else { 1.0 });
         let mut rng = SplitMix64::new(29);
+        let mut marks = NeighborMarks::new();
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            let o = second_order_alias(&g, 0, None, 2.0, 0.5, true, None, &mut rng).unwrap();
+            let o = second_order_alias(&g, 0, None, 2.0, 0.5, true, None, &mut marks, &mut rng)
+                .unwrap();
             assert_eq!(o.method, SampleMethod::Reservoir);
             counts[o.local_index as usize] += 1;
         }
@@ -282,18 +308,26 @@ mod tests {
         // substitute fill_row's uniform fallback.
         let g = fixture().with_weights(|_, _, _| 0.0);
         let mut rng = SplitMix64::new(2);
-        assert!(node2vec_reservoir(&g, 0, Some(1), 2.0, 0.5, &mut rng).is_none());
-        assert!(second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, None, &mut rng).is_none());
+        let mut marks = NeighborMarks::new();
+        assert!(node2vec_reservoir(&g, 0, Some(1), 2.0, 0.5, &mut marks, &mut rng).is_none());
+        assert!(
+            second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, None, &mut marks, &mut rng)
+                .is_none()
+        );
         // And the first hop agrees too.
-        assert!(second_order_alias(&g, 0, None, 2.0, 0.5, true, None, &mut rng).is_none());
+        assert!(
+            second_order_alias(&g, 0, None, 2.0, 0.5, true, None, &mut marks, &mut rng).is_none()
+        );
     }
 
     #[test]
     fn build_cost_is_the_merge_scan() {
         let g = fixture();
         let mut rng = SplitMix64::new(3);
-        let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut rng).unwrap();
-        // deg(0) = 3, deg(1) = 2.
+        let mut marks = NeighborMarks::new();
+        let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut marks, &mut rng)
+            .unwrap();
+        // Marks N(1) (deg 2), then scans N(0) (deg 3).
         assert_eq!(o.scanned, 5);
         assert_eq!(o.alias_reads, 1);
     }
@@ -303,6 +337,7 @@ mod tests {
     fn zero_q_panics() {
         let g = fixture();
         let mut rng = SplitMix64::new(0);
-        let _ = second_order_alias(&g, 0, Some(1), 2.0, 0.0, false, None, &mut rng);
+        let mut marks = NeighborMarks::new();
+        let _ = second_order_alias(&g, 0, Some(1), 2.0, 0.0, false, None, &mut marks, &mut rng);
     }
 }

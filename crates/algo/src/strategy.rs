@@ -17,9 +17,10 @@
 //!   (a leading-zeros bucket index and an array read), no branches on
 //!   spec.
 //! * [`SamplerRuntime`] — the mutable per-executor sampling state: the
-//!   bounded second-order [`EdgeAliasCache`] and the cumulative
-//!   [`SamplingCounters`]. Each engine worker owns one exclusively, so
-//!   serving shards never contend on sampler state.
+//!   bounded second-order [`EdgeAliasCache`], the second-order kernels'
+//!   membership marks and the cumulative [`SamplingCounters`]. Each
+//!   engine worker owns one exclusively, so serving shards never contend
+//!   on sampler state.
 //!
 //! Path-identity contract: under `Legacy` every workload's walk paths,
 //! sampling costs and RNG consumption are bitwise-identical to the
@@ -31,7 +32,7 @@
 //! which samples the same *distribution* as the reservoir scan through a
 //! different mapping. Cache state never affects any path.
 
-use crate::sampler::EdgeAliasCache;
+use crate::sampler::{EdgeAliasCache, NeighborMarks};
 use crate::spec::{Node2VecMethod, WalkSpec};
 use grw_graph::CsrGraph;
 pub use grw_sim::stats::SamplingCounters;
@@ -436,16 +437,18 @@ impl StrategyTable {
     }
 }
 
-/// Mutable per-executor sampling state: the second-order edge cache and
-/// cumulative kernel counters.
+/// Mutable per-executor sampling state: the second-order edge cache, the
+/// membership marks of the second-order kernels and cumulative kernel
+/// counters.
 ///
-/// Engines own one runtime per worker (`&mut`, no locks). The legacy
-/// entry points ([`crate::PreparedGraph::sample_neighbor`] /
-/// [`crate::PreparedGraph::next_step`]) use an ephemeral disabled runtime,
-/// which is always correct — just uncached.
+/// Engines own one runtime per worker (`&mut`, no locks) and reuse it for
+/// every step, so the marks are allocated once, at the first
+/// second-order step. A [`SamplerRuntime::disabled`] runtime is always
+/// correct — just uncached.
 #[derive(Debug, Clone, Default)]
 pub struct SamplerRuntime {
     cache: Option<EdgeAliasCache>,
+    marks: NeighborMarks,
     counters: SamplingCounters,
 }
 
@@ -461,7 +464,7 @@ impl SamplerRuntime {
     pub fn with_cache(cache: Option<EdgeAliasCache>) -> Self {
         Self {
             cache,
-            counters: SamplingCounters::default(),
+            ..Self::default()
         }
     }
 
@@ -470,8 +473,16 @@ impl SamplerRuntime {
         self.cache.as_ref()
     }
 
-    pub(crate) fn cache_mut(&mut self) -> Option<&mut EdgeAliasCache> {
-        self.cache.as_mut()
+    pub(crate) fn marks_mut(&mut self) -> &mut NeighborMarks {
+        &mut self.marks
+    }
+
+    /// The edge cache and the marks, borrowed together for the cached
+    /// second-order kernel.
+    pub(crate) fn cache_and_marks_mut(
+        &mut self,
+    ) -> (Option<&mut EdgeAliasCache>, &mut NeighborMarks) {
+        (self.cache.as_mut(), &mut self.marks)
     }
 
     /// Accumulates one sample's cost into the counters.

@@ -23,7 +23,7 @@
 //! lists — structured accesses the GPU caches well, so they are charged at
 //! a locality discount (the Fig. 9d effect).
 
-use grw_algo::{PreparedGraph, WalkPath, WalkQuery, WalkSpec};
+use grw_algo::{PreparedGraph, SamplerRuntime, WalkPath, WalkQuery, WalkSpec};
 use grw_graph::VertexId;
 use grw_rng::{SplitMix64, Xoshiro256StarStar};
 
@@ -184,6 +184,9 @@ impl GSampler {
         let mut degree_sum = 0.0f64;
         let mut degree_sq = 0.0f64;
         let mut visits = 0u64;
+        // One uncached runtime for the whole replay; without a cache its
+        // outcomes equal a fresh runtime's on every hop.
+        let mut rt = SamplerRuntime::disabled();
         for q in queries {
             let mut rng =
                 Xoshiro256StarStar::new(SplitMix64::mix(self.seed ^ q.id.wrapping_mul(0x9E37)));
@@ -193,7 +196,7 @@ impl GSampler {
             let mut prev: Option<VertexId> = None;
             let mut hop = 0u32;
             while let grw_algo::StepDecision::Advance { next, outcome } =
-                prepared.next_step(spec, cur, prev, hop, &mut rng)
+                prepared.next_step_with(&mut rt, spec, cur, prev, hop, &mut rng)
             {
                 let d = f64::from(graph.degree(cur));
                 degree_sum += d;

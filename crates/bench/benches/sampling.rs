@@ -9,7 +9,7 @@
 //! made of, so a regression can be attributed to one kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use grw_algo::sampler::{self, EdgeAliasCache};
+use grw_algo::sampler::{self, EdgeAliasCache, NeighborMarks};
 use grw_graph::generators::RmatConfig;
 use grw_graph::{AliasTables, CsrGraph};
 use grw_rng::SplitMix64;
@@ -74,17 +74,42 @@ fn bench_second_order_kernels(c: &mut Criterion) {
     });
     group.bench_function("reservoir_hub", |b| {
         let mut rng = SplitMix64::new(2);
-        b.iter(|| sampler::node2vec_reservoir(&g, hub, Some(prev), P, Q, &mut rng))
+        let mut marks = NeighborMarks::new();
+        b.iter(|| sampler::node2vec_reservoir(&g, hub, Some(prev), P, Q, &mut marks, &mut rng))
     });
     group.bench_function("alias_build_hub_uncached", |b| {
         let mut rng = SplitMix64::new(2);
-        b.iter(|| sampler::second_order_alias(&g, hub, Some(prev), P, Q, false, None, &mut rng))
+        let mut marks = NeighborMarks::new();
+        b.iter(|| {
+            sampler::second_order_alias(
+                &g,
+                hub,
+                Some(prev),
+                P,
+                Q,
+                false,
+                None,
+                &mut marks,
+                &mut rng,
+            )
+        })
     });
     group.bench_function("alias_cache_hit_hub", |b| {
         let mut rng = SplitMix64::new(2);
+        let mut marks = NeighborMarks::new();
         let mut cache = EdgeAliasCache::new(32 << 20, 4);
         // Prime the one row; every iteration after that is a pure hit.
-        sampler::second_order_alias(&g, hub, Some(prev), P, Q, false, Some(&mut cache), &mut rng);
+        sampler::second_order_alias(
+            &g,
+            hub,
+            Some(prev),
+            P,
+            Q,
+            false,
+            Some(&mut cache),
+            &mut marks,
+            &mut rng,
+        );
         b.iter(|| {
             sampler::second_order_alias(
                 &g,
@@ -94,6 +119,7 @@ fn bench_second_order_kernels(c: &mut Criterion) {
                 Q,
                 false,
                 Some(&mut cache),
+                &mut marks,
                 &mut rng,
             )
         })
@@ -113,6 +139,7 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     group.bench_function("hit_hot_row", |b| {
         let mut rng = SplitMix64::new(2);
+        let mut marks = NeighborMarks::new();
         let mut cache = EdgeAliasCache::new(32 << 20, 4);
         sampler::second_order_alias(
             &g,
@@ -122,6 +149,7 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
             Q,
             false,
             Some(&mut cache),
+            &mut marks,
             &mut rng,
         );
         let prev = g.neighbors(hub)[0];
@@ -131,6 +159,7 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
         // Cycle hits across thousands of cached rows: what a hit costs
         // when the working set no longer fits the fast cache levels.
         let mut rng = SplitMix64::new(2);
+        let mut marks = NeighborMarks::new();
         let mut cache = EdgeAliasCache::new(256 << 20, 4);
         for &(prev, cur) in &edges {
             sampler::second_order_alias(
@@ -141,6 +170,7 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
                 Q,
                 false,
                 Some(&mut cache),
+                &mut marks,
                 &mut rng,
             );
         }
@@ -158,6 +188,7 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
     group.bench_function("build_insert_under_pressure", |b| {
         // Tiny budget: every insert evicts — the thrash path.
         let mut rng = SplitMix64::new(2);
+        let mut marks = NeighborMarks::new();
         let mut cache = EdgeAliasCache::new(64 << 10, 4);
         let mut i = 0usize;
         b.iter(|| {
@@ -171,6 +202,7 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
                 Q,
                 false,
                 Some(&mut cache),
+                &mut marks,
                 &mut rng,
             )
         })

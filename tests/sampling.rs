@@ -9,10 +9,10 @@
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{
     distribution, run_streamed, strategy::degree_bucket, Node2VecMethod, PreparedGraph, QuerySet,
-    ReferenceEngine, SamplerConfig, SamplerStrategy, SamplingCounters, WalkBackend, WalkPath,
-    WalkSpec,
+    ReferenceEngine, SamplerConfig, SamplerStrategy, SamplingCounters, WalkBackend, WalkEngine,
+    WalkPath, WalkSpec,
 };
-use ridgewalker_suite::graph::generators::RmatConfig;
+use ridgewalker_suite::graph::generators::{Dataset, RmatConfig, ScaleFactor};
 use ridgewalker_suite::graph::{weights, CsrGraph, VertexId};
 use ridgewalker_suite::rng::SplitMix64;
 use ridgewalker_suite::route::{AdaptiveConfig, AdaptivePolicy, Router};
@@ -430,4 +430,61 @@ fn routed_mixed_fleet_conserves_walks_across_cache_budgets() {
         "routed + thrashing cache changed a walk"
     );
     assert_eq!(run(8 << 20), want, "routed + warm cache changed a walk");
+}
+
+/// FNV-1a over a stream of `u64` words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+    })
+}
+
+fn path_words(paths: &[WalkPath]) -> impl Iterator<Item = u64> + '_ {
+    paths.iter().flat_map(|p| {
+        [p.query, p.vertices.len() as u64]
+            .into_iter()
+            .chain(p.vertices.iter().map(|&v| u64::from(v)))
+    })
+}
+
+/// Pins weighted Node2Vec-reservoir walks on a Tiny graph, through the
+/// reference engine and the cycle-level accelerator (paths, cycles,
+/// random transactions and sampler counters), to values recorded from
+/// the binary-search reservoir kernel. Any change to the kernel's draw
+/// sequence, float operations or modelled costs moves a digest.
+#[test]
+fn weighted_node2vec_reservoir_paths_are_pinned() {
+    let g = Dataset::LiveJournal.generate_weighted(ScaleFactor::Tiny);
+    let spec = WalkSpec::node2vec(24, Node2VecMethod::Reservoir);
+    let prepared = PreparedGraph::new(g.clone(), &spec).unwrap();
+    let queries = QuerySet::random(g.vertex_count(), 512, 0x51A7);
+
+    let reference = ReferenceEngine::new(0x9A7).run(&prepared, &spec, queries.queries());
+    let reference_digest = fnv1a(path_words(&reference));
+
+    let report = Accelerator::new(AcceleratorConfig::new().pipelines(4).seed(0x9A7)).run(
+        &prepared,
+        &spec,
+        queries.queries(),
+    );
+    let s = report.sampling;
+    let accel_digest = fnv1a(path_words(&report.paths).chain([
+        report.cycles,
+        report.steps,
+        report.random_txns,
+        s.samples,
+        s.rejection_trials,
+        s.alias_builds,
+        s.cache_hits,
+        s.cache_evictions,
+        s.scanned_words,
+    ]));
+
+    assert_eq!(
+        (reference_digest, accel_digest),
+        (0x1978_1B3D_4BA6_6233, 0x09DC_2E24_03EB_D12B),
+        "weighted Node2Vec-reservoir walks moved"
+    );
 }
