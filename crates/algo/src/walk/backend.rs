@@ -107,12 +107,12 @@ pub struct BackendTelemetry {
 /// The trait deliberately has no `Send` supertrait: a backend is
 /// single-owner mutable state (`&mut self` everywhere), and a purely
 /// local engine — one holding `Rc` graph views, say — is a legitimate
-/// implementation. Serving layers that *move* backends onto worker
-/// threads (the threaded driver in `grw_service`) demand `B: Send` at
-/// their own boundary instead, which every engine in this workspace
-/// satisfies: the shared graph travels as `Arc<PreparedGraph>` and all
-/// RNG/sampler state is owned per backend (asserted in this module's
-/// tests).
+/// implementation. Serving layers that need to move backends across
+/// threads (`grw_service` boxes its shards as `dyn WalkBackend + Send`)
+/// demand `B: Send` at their own boundary instead, which every engine
+/// in this workspace satisfies: the shared graph travels as
+/// `Arc<PreparedGraph>` and all RNG/sampler state is owned per backend
+/// (asserted in this module's tests).
 pub trait WalkBackend {
     /// Offers queries; accepts a prefix and returns how many were taken.
     fn submit(&mut self, queries: &[WalkQuery]) -> usize;
@@ -631,8 +631,8 @@ mod tests {
         (PreparedGraph::new(g, &spec).unwrap(), spec, qs)
     }
 
-    /// The workspace engines must stay movable onto worker threads (the
-    /// threaded serving driver's `B: Send` bound) — a compile-time
+    /// The workspace engines must stay movable across threads (the
+    /// serving layer's `DynWalkBackend` is `Send`) — a compile-time
     /// assertion, so a future `Rc` or raw-pointer field fails here, not
     /// in a downstream crate.
     #[test]

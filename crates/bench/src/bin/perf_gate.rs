@@ -143,23 +143,24 @@ const SAMPLING_METRICS: &[Metric] = &[
     higher("summary.total_steps"),
 ];
 
-/// Gated metrics for `BENCH_qps.json` — only the cross-driver
-/// determinism counters. The bench's whole point is a wall-clock QPS and
-/// speedup comparison, but those numbers depend on the runner's core
-/// count, so none of them is gated; what CI pins is that both execution
-/// regimes keep completing the identical walk multiset (`checksum_match`
-/// is 1 when the digests, walk counts, and step counts all agree).
+/// Gated metrics for `BENCH_qps.json` — only the determinism counters.
+/// The bench's headline is a wall-clock QPS, but that depends on the
+/// runner's hardware, so it is not gated; what CI pins is the walk and
+/// step counts, and that every run of the stream — the headline run and
+/// each obs-overhead window run, live hub and disabled hub alike —
+/// completes the identical walk multiset (`checksum_match` is 1 when the
+/// digests, walk counts, and step counts all agree).
 // `obs_overhead` is the one wall-clock-derived number gated here: it is
 // a same-machine same-run ratio (absolute ±3% floor, 0% relative band
 // from the bench's own gate block), pinning the claim that full
-// observability costs under 3% of deterministic-regime throughput.
+// observability costs under 3% of serving throughput.
 const QPS_METRICS: &[Metric] = &[
     higher("summary.completed"),
     higher("summary.steps"),
     higher("summary.checksum_match"),
     lower("summary.obs_overhead", 0.03),
-    // The deterministic regime's phase attribution is pure logical
-    // ticks: the bench gates it at ±0% like `completed`/`steps`.
+    // The headline run's phase attribution is pure logical ticks: the
+    // bench gates it at ±0% like `completed`/`steps`.
     higher("phases.count"),
     lower("phases.total_sum", 0.0),
     lower("phases.batch_wait_sum", 0.0),
@@ -551,17 +552,18 @@ mod tests {
     #[test]
     fn qps_benches_gate_determinism_but_never_the_wall_clock() {
         // The bench emits ±0% bands on its counters. A 10x wall-clock
-        // swing passes untouched; a checksum mismatch (1 -> 0) or any
-        // drift in the deterministic counters fails.
+        // swing passes untouched; a checksum mismatch (1 -> 0: some run
+        // of the stream completed different walks) or any drift in the
+        // deterministic counters fails.
         let base = Json::parse(
             r#"{"gate": {"summary": {"completed": 0.0, "steps": 0.0, "checksum_match": 0.0}},
                 "summary": {"completed": 4096, "steps": 240000, "checksum_match": 1,
-                            "threaded_qps_wall": 50000.0, "speedup_wall": 2.4}}"#,
+                            "qps_wall": 500000.0}}"#,
         )
         .unwrap();
         let slower_but_same_walks = Json::parse(
             r#"{"summary": {"completed": 4096, "steps": 240000, "checksum_match": 1,
-                            "threaded_qps_wall": 5000.0, "speedup_wall": 0.9}}"#,
+                            "qps_wall": 50000.0}}"#,
         )
         .unwrap();
         assert_eq!(
@@ -570,7 +572,7 @@ mod tests {
         );
         let diverged = Json::parse(
             r#"{"summary": {"completed": 4096, "steps": 239000, "checksum_match": 0,
-                            "threaded_qps_wall": 50000.0, "speedup_wall": 2.4}}"#,
+                            "qps_wall": 500000.0}}"#,
         )
         .unwrap();
         let (n, offenders) = gate("BENCH_qps.json", &base, &diverged, 0.2);

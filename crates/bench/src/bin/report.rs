@@ -197,42 +197,32 @@ fn sinks(doc: &Json) -> String {
     body
 }
 
-/// Deterministic vs threaded serving driver (`BENCH_qps.json`).
+/// Wall-clock QPS of the serving runtime (`BENCH_qps.json`).
 fn qps(doc: &Json) -> String {
     let mut t = Table::new(vec![
-        "driver",
         "walks",
         "steps",
         "wall QPS",
         "p50 latency (us)",
         "p99 latency (us)",
+        "obs overhead",
     ]);
-    for (label, path) in [("deterministic", "deterministic"), ("threaded", "threaded")] {
-        t.row(vec![
-            label.to_string(),
-            cell(doc, &format!("{path}.completed"), 0),
-            cell(doc, &format!("{path}.steps"), 0),
-            cell(doc, &format!("{path}.qps_wall"), 0),
-            cell(doc, &format!("{path}.p50_latency_us"), 0),
-            cell(doc, &format!("{path}.p99_latency_us"), 0),
-        ]);
-    }
+    t.row(vec![
+        cell(doc, "service.completed", 0),
+        cell(doc, "service.steps", 0),
+        cell(doc, "service.qps_wall", 0),
+        cell(doc, "service.p50_latency_us", 0),
+        cell(doc, "service.p99_latency_us", 0),
+        cell(doc, "summary.obs_overhead", 4),
+    ]);
     let mut body = t.markdown();
     let digests_match = num(doc, "summary.checksum_match") == Some(1.0);
     body.push_str(&format!(
-        "\nWalk multisets {} across drivers (digest {}).",
+        "\nWalk multisets {} across every run, obs on and off (digest {}). \
+         Wall-clock columns are machine-dependent and not CI-gated.\n",
         if digests_match { "match" } else { "DIVERGE" },
         cell(doc, "summary.walk_digest", 0),
     ));
-    if let (Some(speedup), Some(cores)) =
-        (num(doc, "summary.speedup_wall"), num(doc, "parallelism"))
-    {
-        body.push_str(&format!(
-            " Threaded speedup {speedup:.2}x wall on {cores:.0} core(s) \
-             (machine-dependent; not CI-gated).",
-        ));
-    }
-    body.push('\n');
     body
 }
 
@@ -329,11 +319,7 @@ fn render(dir: &Path) -> Option<String> {
         sections += 1;
     }
     if let Some(doc) = load(dir, "BENCH_qps.json") {
-        section(
-            &mut out,
-            "Serving drivers: deterministic vs threaded",
-            &qps(&doc),
-        );
+        section(&mut out, "Serving QPS (wall clock)", &qps(&doc));
         sections += 1;
     }
     if let Some(doc) = load(dir, "BENCH_autoscale.json") {
@@ -376,21 +362,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn qps_section_renders_both_drivers() {
+    fn qps_section_renders_the_service_run() {
         let doc = Json::parse(
-            r#"{"summary": {"checksum_match": 1, "walk_digest": 123, "speedup_wall": 2.5},
-                "parallelism": 8,
-                "deterministic": {"completed": 100, "steps": 600, "qps_wall": 1000.0,
-                                  "p50_latency_us": 10, "p99_latency_us": 50},
-                "threaded": {"completed": 100, "steps": 600, "qps_wall": 2500.0,
-                             "p50_latency_us": 5, "p99_latency_us": 30}}"#,
+            r#"{"summary": {"checksum_match": 1, "walk_digest": 123, "obs_overhead": 0.0125},
+                "service": {"completed": 100, "steps": 600, "qps_wall": 1000.0,
+                            "p50_latency_us": 10, "p99_latency_us": 50}}"#,
         )
         .unwrap();
         let body = qps(&doc);
-        assert!(body.contains("| deterministic | 100 | 600 | 1000 | 10 | 50 |"));
-        assert!(body.contains("| threaded | 100 | 600 | 2500 | 5 | 30 |"));
-        assert!(body.contains("multisets match"));
-        assert!(body.contains("2.50x wall on 8 core(s)"));
+        assert!(body.contains("| 100 | 600 | 1000 | 10 | 50 | 0.0125 |"));
+        assert!(body.contains("multisets match across every run"));
+        assert!(body.contains("digest 123"));
+        let diverged = Json::parse(r#"{"summary": {"checksum_match": 0}}"#).unwrap();
+        assert!(qps(&diverged).contains("DIVERGE"));
     }
 
     #[test]

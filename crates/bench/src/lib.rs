@@ -25,8 +25,9 @@
 //! sink-delivery residency against the legacy drain-to-`Vec` pattern
 //! (writing `BENCH_sinks.json`), [`sampling`] compares the legacy and
 //! runtime-adaptive sampler kernels across degree-skew settings (writing
-//! `BENCH_sampling.json`), [`qps`] races the deterministic and threaded
-//! serving drivers over one wall-clock stream (writing `BENCH_qps.json`),
+//! `BENCH_sampling.json`), [`qps`] measures the serving runtime's
+//! wall-clock QPS and obs overhead over one stream (writing
+//! `BENCH_qps.json`),
 //! [`autoscale`] replays a diurnal-plus-bursts multi-tenant stream
 //! through an SLO-driven elastic fleet and two static controls (writing
 //! `BENCH_autoscale.json`), and [`json`] is the minimal parser the
@@ -63,7 +64,7 @@ pub use load::{
     calibrate_saturation, run_latency_load, ArrivalShape, LoadConfig, LoadDelivery, LoadPoint,
     LoadWorkload, WorkloadLoadReport,
 };
-pub use qps::{run_qps_bench, DriverQps, QpsConfig, QpsReport};
+pub use qps::{run_qps_bench, QpsConfig, QpsReport, ServiceQps};
 pub use routing::{
     run_routing_bench, PolicyOutcome, RoutingBenchConfig, RoutingBenchReport, WorkloadRouting,
 };

@@ -5,10 +5,9 @@
 //! Determinism is the design constraint everything else follows from:
 //! an event's identity is `(tick, shard, seq, kind)` where `seq` is a
 //! per-source monotone counter, so a fixed seed and submission schedule
-//! reproduce the identical trace — and because per-shard event streams
-//! are a pure function of that shard's own command stream, the *sorted*
-//! trace is bit-identical across the deterministic and threaded serving
-//! regimes (the same invariant the walk-multiset parity tests encode).
+//! reproduce the identical trace: per-shard event streams are a pure
+//! function of that shard's own command stream, so the *sorted* trace is
+//! bit-identical from one run to the next.
 
 use std::fmt::Write as _;
 
@@ -209,7 +208,7 @@ impl EventKind {
 }
 
 /// Sentinel shard id for events that belong to no single shard (the
-/// deterministic regime's service-global spill, router-level events).
+/// service-global spill, router-level events).
 pub const GLOBAL_SHARD: u32 = u32::MAX;
 
 /// One journal entry. Identity (and canonical order) is

@@ -22,14 +22,14 @@
 //! ## Recording topology
 //!
 //! [`Obs`] is the shared hub (cheap to clone — one `Arc`). Each
-//! recording source — a `ShardRunner`, a worker's spill-delivery path —
+//! recording source — a `ShardRunner`, the service's spill-delivery path —
 //! holds a [`ShardObs`]: a *local* event buffer plus pre-bound metric
-//! handles, so the hot path takes no lock and worker threads never
-//! contend. Buffers flow back to the hub at the same barriers the stats
-//! collectors already use (reports, drains, retirement, `finish`), and
-//! the hub's journal sorts canonically by `(tick, shard, seq)` — which
-//! is what makes the exported trace identical across the deterministic
-//! and threaded serving regimes for a fixed seed and schedule.
+//! handles, so the hot path takes no lock. Buffers flow back to the hub
+//! at the same barriers the stats collectors already use (reports,
+//! drains, retirement, `finish`), and the hub's journal sorts
+//! canonically by `(tick, shard, seq)` — which is what makes the
+//! exported trace identical from run to run for a fixed seed and
+//! schedule.
 //!
 //! Everything is `std`-only, like the rest of the workspace.
 
@@ -63,7 +63,7 @@ const SHARD_BUFFER_WARM: usize = 4096;
 /// path — plus hub-level events attributed to it. Giving each source
 /// class a disjoint `seq` range makes the canonical order total (no two
 /// events ever share a key), which is what keeps the sorted trace
-/// string byte-identical across serving regimes.
+/// string byte-identical from run to run.
 pub const SEQ_BASE_SPILL: u64 = 1 << 48;
 
 /// Sequence base for events recorded directly on the hub (router and

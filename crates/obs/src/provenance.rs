@@ -20,8 +20,8 @@
 //!
 //! The sum telescopes, so `sum(phases) == total` holds *exactly* for
 //! every span — not approximately, not modulo rounding — and because the
-//! canonical trace is byte-identical across the deterministic and
-//! threaded drivers, so is every reconstructed span. That identity is
+//! canonical trace is byte-identical from one run of a fixed seed and
+//! schedule to the next, so is every reconstructed span. That identity is
 //! what makes a phase-level diff ([`SpanSet::summary`] compared across
 //! two traces, see the `obsdiff` bin) a real behavioural explanation
 //! rather than scheduler noise.
@@ -78,7 +78,7 @@ impl QuerySpan {
     }
 
     /// The additive phase decomposition, in [`PHASE_NAMES`] order.
-    /// Invariant (property-tested across both drivers):
+    /// Invariant (property-tested in `tests/obs.rs`):
     /// `phases().sum() == total()` exactly.
     pub fn phases(&self) -> [u64; 3] {
         [

@@ -84,8 +84,7 @@ use grw_algo::{BackendClass, WalkQuery};
 use grw_obs::{Counter, EventKind, Gauge, Labels, Obs, GLOBAL_SHARD};
 use grw_rng::SplitMix64;
 use grw_service::{
-    CompletedWalk, Driver, DynWalkBackend, ServiceStats, ShardSnapshot, TenantId, WalkService,
-    WalkSink,
+    CompletedWalk, DynWalkBackend, ServiceStats, ShardSnapshot, TenantId, WalkService, WalkSink,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -164,21 +163,16 @@ pub struct ScaleStep {
     pub reclaimed: Vec<CompletedWalk>,
 }
 
-/// The routing tier: a serving [`Driver`] over a (possibly
-/// heterogeneous) fleet, fronted by a [`RoutePolicy`] that places every
-/// tenant's micro-batches using live load signals.
+/// The routing tier: a [`WalkService`] over a (possibly heterogeneous)
+/// fleet, fronted by a [`RoutePolicy`] that places every tenant's
+/// micro-batches using live load signals.
 ///
-/// The router is driver-generic: it wraps either execution regime — the
-/// deterministic tick loop ([`WalkService`]) or the thread-per-shard
-/// `ThreadedDriver` — behind the same placement logic, because
-/// `submit_routed`, `shard_snapshots`, and the tick/drain lifecycle have
-/// identical semantics in both ([`ShardSnapshot::pending_commands`]
-/// additionally exposes the threaded regime's cross-thread backlog to
-/// the policies' `backlog()` signal). Delivery passes straight through,
-/// so everything the driver guarantees about conservation and
-/// (multiset-)determinism holds verbatim.
+/// The router places through `submit_routed` and reads
+/// `shard_snapshots`; everything else — the tick/drain lifecycle, sinks,
+/// delivery — passes straight through to the service, so everything the
+/// service guarantees about conservation and determinism holds verbatim.
 pub struct Router<P: RoutePolicy> {
-    driver: Driver<DynWalkBackend>,
+    service: WalkService<DynWalkBackend>,
     policy: P,
     rates: ClassRates,
     eligible: Vec<bool>,
@@ -193,7 +187,7 @@ pub struct Router<P: RoutePolicy> {
     routed_retired: u64,
     /// Observability hub (disabled until [`attach_obs`](Self::attach_obs)):
     /// the routing tier journals migrations, scale verdicts, and fleet
-    /// membership changes into it, alongside the driver's own events.
+    /// membership changes into it, alongside the service's own events.
     obs: Obs,
     /// Registry handles, resolved once at attach time (no-ops before).
     obs_migrations: Counter,
@@ -203,16 +197,15 @@ pub struct Router<P: RoutePolicy> {
 }
 
 impl<P: RoutePolicy> Router<P> {
-    /// Wraps a serving driver with `policy` — pass a [`WalkService`], a
-    /// `ThreadedDriver`, or a [`Driver`] (anything `Into<Driver>`). All
-    /// shards start eligible and no calibration is loaded (policies fall
-    /// back to cost-hint priors — see [`with_rates`](Self::with_rates)).
-    pub fn new(driver: impl Into<Driver<DynWalkBackend>>, policy: P) -> Self {
-        let driver = driver.into();
-        let classes: Vec<BackendClass> = driver.shard_snapshots().iter().map(|s| s.class).collect();
+    /// Wraps `service` with `policy`. All shards start eligible and no
+    /// calibration is loaded (policies fall back to cost-hint priors —
+    /// see [`with_rates`](Self::with_rates)).
+    pub fn new(service: WalkService<DynWalkBackend>, policy: P) -> Self {
+        let classes: Vec<BackendClass> =
+            service.shard_snapshots().iter().map(|s| s.class).collect();
         let shards = classes.len();
         Self {
-            driver,
+            service,
             policy,
             rates: ClassRates::none(),
             eligible: vec![true; shards],
@@ -230,35 +223,35 @@ impl<P: RoutePolicy> Router<P> {
     }
 
     /// Attaches an observability hub to the routing tier *and* the
-    /// driver underneath: every shard records service events, and the
+    /// service underneath: every shard records service events, and the
     /// router additionally journals tenant migrations (with from/to and
     /// moved-batch cost), every scale verdict carrying its control-law
     /// inputs, and fleet membership changes. Attach before submitting
     /// traffic so the trace covers the whole run.
     pub fn attach_obs(&mut self, obs: Obs) {
-        self.driver.attach_obs(obs.clone());
+        self.service.attach_obs(obs.clone());
         let reg = obs.registry();
         self.obs_migrations = reg.counter("grw_migrations_total", Labels::none());
         self.obs_scale_ups = reg.counter("grw_scale_ups_total", Labels::none());
         self.obs_scale_downs = reg.counter("grw_scale_downs_total", Labels::none());
         self.obs_fleet_shards = reg.gauge("grw_fleet_shards", Labels::none());
-        self.obs_fleet_shards.set(self.driver.shard_count() as i64);
+        self.obs_fleet_shards.set(self.service.shard_count() as i64);
         self.obs = obs;
     }
 
     /// Builds a live hub sized by the service config's
-    /// `journal_capacity`, attaches it (routing tier and driver), and
+    /// `journal_capacity`, attaches it (routing tier and service), and
     /// returns a handle.
     pub fn attach_fresh_obs(&mut self) -> Obs {
-        let obs = Obs::with_capacity(self.driver.journal_capacity());
+        let obs = Obs::with_capacity(self.service.journal_capacity());
         self.attach_obs(obs.clone());
         obs
     }
 
     /// Forces an export barrier so every shard's buffered events reach
-    /// the attached hub journal — see [`Driver::flush_obs`].
+    /// the attached hub journal — see [`WalkService::flush_obs`].
     pub fn flush_obs(&mut self) {
-        self.driver.flush_obs();
+        self.service.flush_obs();
     }
 
     /// Loads calibrated per-class saturation rates (builder form).
@@ -318,7 +311,7 @@ impl<P: RoutePolicy> Router<P> {
     /// automatically; it is idempotent between scale events.
     pub fn replan(&mut self) -> usize {
         self.classes = self
-            .driver
+            .service
             .shard_snapshots()
             .iter()
             .map(|s| s.class)
@@ -349,7 +342,7 @@ impl<P: RoutePolicy> Router<P> {
             // Binding drops surface in hash-map order; sort by tenant so
             // the journal stays deterministic for a fixed schedule.
             dropped_bindings.sort_by_key(|&(t, _)| t.0);
-            let now = self.driver.now();
+            let now = self.service.now();
             for (t, s) in dropped_bindings {
                 // An unbinding, not a rebinding: the tenant re-places at
                 // its next submission, so `to` is the no-shard sentinel
@@ -373,13 +366,13 @@ impl<P: RoutePolicy> Router<P> {
     /// re-plans placement over it; returns the new shard's index (always
     /// the highest). The shard starts eligible and receives traffic from
     /// the very next [`submit`](Self::submit) — see
-    /// [`Driver::append_shard`] for the seeding discipline that keeps
+    /// [`WalkService::append_shard`] for the seeding discipline that keeps
     /// new shards deterministic.
     pub fn append_shard(&mut self, backend: DynWalkBackend) -> usize {
-        let shard = self.driver.append_shard(backend);
+        let shard = self.service.append_shard(backend);
         if self.obs.is_enabled() {
             self.obs.record(
-                self.driver.now(),
+                self.service.now(),
                 shard as u32,
                 EventKind::ShardAppended { reactivated: false },
             );
@@ -396,7 +389,7 @@ impl<P: RoutePolicy> Router<P> {
     /// eligible shard. Complete the retirement with
     /// [`try_finish_retire`](Self::try_finish_retire) once it runs dry.
     ///
-    /// Retirement is LIFO by construction — both drivers only remove
+    /// Retirement is LIFO by construction — the service only removes
     /// the tail shard, which is what keeps every surviving shard's index
     /// (and therefore bindings, counters, and snapshots) stable.
     pub fn begin_retire(&mut self) -> Option<usize> {
@@ -408,14 +401,14 @@ impl<P: RoutePolicy> Router<P> {
         self.eligible[last] = false;
         if self.obs.is_enabled() {
             self.obs
-                .record(self.driver.now(), last as u32, EventKind::RetireBegun);
+                .record(self.service.now(), last as u32, EventKind::RetireBegun);
         }
         Some(last)
     }
 
     /// Completes a retirement begun by [`begin_retire`](Self::begin_retire):
     /// once the draining tail shard holds no work, removes it from the
-    /// fleet (the driver drains it in place, so any stragglers are
+    /// fleet (the service drains it in place, so any stragglers are
     /// conserved and returned here), and re-plans placement over the
     /// smaller fleet. Returns `None` while the shard is still busy, no
     /// retirement is in progress, or only one shard remains.
@@ -424,13 +417,13 @@ impl<P: RoutePolicy> Router<P> {
         if self.eligible[last] || self.eligible.len() <= 1 {
             return None;
         }
-        if self.driver.shard_snapshots()[last].backlog() > 0 {
+        if self.service.shard_snapshots()[last].backlog() > 0 {
             return None;
         }
-        let walks = self.driver.retire_shard();
+        let walks = self.service.retire_shard();
         if self.obs.is_enabled() {
             self.obs.record(
-                self.driver.now(),
+                self.service.now(),
                 last as u32,
                 EventKind::ShardRetired {
                     reclaimed: walks.len() as u32,
@@ -460,9 +453,9 @@ impl<P: RoutePolicy> Router<P> {
             step.retired = Some(shard);
             step.reclaimed = walks;
         }
-        let snaps = self.driver.shard_snapshots();
+        let snaps = self.service.shard_snapshots();
         let view = FleetView {
-            now: self.driver.now(),
+            now: self.service.now(),
             shards: &snaps,
             eligible: &self.eligible,
             rates: &self.rates,
@@ -483,7 +476,7 @@ impl<P: RoutePolicy> Router<P> {
                 ScaleDecision::Down => "down",
             };
             self.obs.record(
-                self.driver.now(),
+                self.service.now(),
                 GLOBAL_SHARD,
                 EventKind::ScaleDecision {
                     decision: tag,
@@ -499,7 +492,7 @@ impl<P: RoutePolicy> Router<P> {
                     self.eligible[last] = true;
                     if self.obs.is_enabled() {
                         self.obs.record(
-                            self.driver.now(),
+                            self.service.now(),
                             last as u32,
                             EventKind::ShardAppended { reactivated: true },
                         );
@@ -539,12 +532,12 @@ impl<P: RoutePolicy> Router<P> {
         // Signals are only gathered for policies that read them — the
         // static-hash baseline skips the per-shard telemetry sweep.
         let snaps = if self.policy.wants_signals() {
-            self.driver.shard_snapshots()
+            self.service.shard_snapshots()
         } else {
             Vec::new()
         };
         let view = FleetView {
-            now: self.driver.now(),
+            now: self.service.now(),
             shards: &snaps,
             eligible: &self.eligible,
             rates: &self.rates,
@@ -562,7 +555,7 @@ impl<P: RoutePolicy> Router<P> {
                     "policy '{}' placed {tenant} on drained/unknown shard {shard}",
                     self.policy.name()
                 );
-                let taken = self.driver.submit_routed(tenant, queries, shard);
+                let taken = self.service.submit_routed(tenant, queries, shard);
                 if taken == 0 {
                     // Nothing landed (shard buffer full): the tenant has
                     // not moved, so neither the binding nor the migration
@@ -577,7 +570,7 @@ impl<P: RoutePolicy> Router<P> {
                         // Cost of the move = the micro-batch that landed
                         // on the new shard at this boundary.
                         self.obs.record(
-                            self.driver.now(),
+                            self.service.now(),
                             GLOBAL_SHARD,
                             EventKind::Migration {
                                 tenant: tenant.0,
@@ -608,7 +601,7 @@ impl<P: RoutePolicy> Router<P> {
             .iter()
             .map(|q| {
                 if all {
-                    self.driver.shard_of(q.start)
+                    self.service.shard_of(q.start)
                 } else {
                     targets[(SplitMix64::mix(u64::from(q.start)) % targets.len() as u64) as usize]
                 }
@@ -624,7 +617,7 @@ impl<P: RoutePolicy> Router<P> {
                 end += 1;
             }
             let taken = self
-                .driver
+                .service
                 .submit_routed(tenant, &queries[start..end], shard);
             accepted += taken;
             self.routed_per_shard[shard] += taken as u64;
@@ -636,70 +629,50 @@ impl<P: RoutePolicy> Router<P> {
         accepted
     }
 
-    /// Advances the fleet one tick — see [`Driver::tick`].
+    /// Advances the fleet one tick — see [`WalkService::tick`].
     pub fn tick(&mut self) -> Vec<CompletedWalk> {
-        self.driver.tick()
+        self.service.tick()
     }
 
     /// [`WalkService::tick_into`]: one tick, delivered into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — explicit borrowed-sink
-    /// delivery is a deterministic-regime API (the sink would have to
-    /// cross threads every call); attach owned per-shard sinks with
-    /// [`attach_sinks`](Self::attach_sinks) instead.
     pub fn tick_into<S: WalkSink + ?Sized>(&mut self, sink: &mut S) -> usize {
-        self.deterministic_mut("tick_into").tick_into(sink)
+        self.service.tick_into(sink)
     }
 
-    /// Runs the fleet dry — see [`Driver::drain`].
+    /// Runs the fleet dry — see [`WalkService::drain`].
     pub fn drain(&mut self) -> Vec<CompletedWalk> {
-        self.driver.drain()
+        self.service.drain()
     }
 
     /// [`WalkService::drain_into`]: drains, delivered into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — see
-    /// [`tick_into`](Self::tick_into).
     pub fn drain_into<S: WalkSink + ?Sized>(&mut self, sink: &mut S) -> usize {
-        self.deterministic_mut("drain_into").drain_into(sink)
-    }
-
-    /// Routes completions into sinks from now on — see
-    /// [`Driver::attach_sinks`] (one global sink under the deterministic
-    /// regime, one owned sink per worker thread under the threaded one).
-    pub fn attach_sinks(&mut self, make_sink: impl FnMut(usize) -> Box<dyn WalkSink + Send>) {
-        self.driver.attach_sinks(make_sink);
+        self.service.drain_into(sink)
     }
 
     /// Queries parked or in flight anywhere in the fleet.
     pub fn queue_depth(&self) -> usize {
-        self.driver.queue_depth()
+        self.service.queue_depth()
     }
 
     /// The current logical tick.
     pub fn now(&self) -> u64 {
-        self.driver.now()
+        self.service.now()
     }
 
     /// Service-level statistics (latency, throughput, per-tenant rows).
     pub fn stats(&self) -> ServiceStats {
-        self.driver.stats()
+        self.service.stats()
     }
 
     /// Live per-shard signals (what the policy last saw, re-read).
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.driver.shard_snapshots()
+        self.service.shard_snapshots()
     }
 
-    /// Clean shutdown: drains the fleet (joining worker threads under
-    /// the threaded driver) and returns the remaining walks plus final
-    /// statistics — see [`Driver::finish`].
+    /// Clean shutdown: drains the fleet and returns the remaining walks
+    /// plus final statistics — see [`WalkService::finish`].
     pub fn finish(self) -> (Vec<CompletedWalk>, ServiceStats) {
-        self.driver.finish()
+        self.service.finish()
     }
 
     /// What the routing tier did so far.
@@ -727,66 +700,21 @@ impl<P: RoutePolicy> Router<P> {
         }
     }
 
-    /// Immutable access to the wrapped driver.
-    pub fn driver(&self) -> &Driver<DynWalkBackend> {
-        &self.driver
-    }
-
-    /// Mutable access to the wrapped driver. Submitting through this
-    /// bypasses the policy — use [`submit`](Self::submit) for routed
-    /// traffic.
-    pub fn driver_mut(&mut self) -> &mut Driver<DynWalkBackend> {
-        &mut self.driver
-    }
-
-    /// Unwraps the router, returning the driver.
-    pub fn into_driver(self) -> Driver<DynWalkBackend> {
-        self.driver
-    }
-
-    /// Immutable access to the wrapped deterministic service.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — use [`driver`](Self::driver)
-    /// for regime-generic access.
+    /// Immutable access to the wrapped service.
     pub fn service(&self) -> &WalkService<DynWalkBackend> {
-        self.driver
-            .as_deterministic()
-            .expect("service() requires the deterministic driver; use driver()")
+        &self.service
     }
 
-    /// Mutable access to the wrapped deterministic service (sink
-    /// subscription etc.). Submitting through this bypasses the policy —
-    /// use [`submit`](Self::submit) for routed traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — use
-    /// [`driver_mut`](Self::driver_mut).
+    /// Mutable access to the wrapped service (sink subscription etc.).
+    /// Submitting through this bypasses the policy — use
+    /// [`submit`](Self::submit) for routed traffic.
     pub fn service_mut(&mut self) -> &mut WalkService<DynWalkBackend> {
-        self.deterministic_mut("service_mut")
+        &mut self.service
     }
 
-    /// Unwraps the router, returning the deterministic service.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — use
-    /// [`into_driver`](Self::into_driver).
+    /// Unwraps the router, returning the service.
     pub fn into_service(self) -> WalkService<DynWalkBackend> {
-        match self.driver {
-            Driver::Deterministic(svc) => svc,
-            Driver::Threaded(_) => {
-                panic!("into_service() requires the deterministic driver; use into_driver()")
-            }
-        }
-    }
-
-    fn deterministic_mut(&mut self, what: &str) -> &mut WalkService<DynWalkBackend> {
-        self.driver
-            .as_deterministic_mut()
-            .unwrap_or_else(|| panic!("{what}() requires the deterministic driver"))
+        self.service
     }
 }
 
@@ -901,9 +829,9 @@ mod tests {
 
     /// A rate-limited shard: completes at most `rate` (real) walks per
     /// poll. Software backends clear their whole queue every tick, which
-    /// makes per-shard capacity infinite under the deterministic driver —
-    /// this wrapper restores a finite service rate so queueing pressure
-    /// (and therefore SLO-driven scaling) is observable in-process.
+    /// makes per-shard capacity infinite in the service — this wrapper
+    /// restores a finite service rate so queueing pressure (and
+    /// therefore SLO-driven scaling) is observable in-process.
     struct TrickleBackend {
         inner: ParallelBackend<Arc<PreparedGraph>>,
         pending: std::collections::VecDeque<grw_algo::WalkQuery>,

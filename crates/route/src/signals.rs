@@ -139,7 +139,6 @@ pub(crate) mod tests {
             },
             queued: backlog,
             in_flight: 0,
-            pending_commands: 0,
             awaiting_injection: None,
             executing: None,
             submitted: 0,

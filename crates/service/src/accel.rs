@@ -9,24 +9,7 @@
 //! so a fleet can even mix modes — or mix accelerator and CPU shards —
 //! behind one `WalkService`.
 
-//!
-//! # Thread-safety audit (threaded driver)
-//!
-//! Every shard backend built here is **owned outright by its shard** and
-//! moves onto a worker thread under
-//! [`DriverMode::Threaded`](crate::DriverMode::Threaded), so the
-//! `Send` story is exactly the `DynWalkBackend` bound (`Box<dyn
-//! WalkBackend + Send>`): accelerator shards each own their whole
-//! cycle-level machine (per-shard `Accelerator::new`, nothing shared),
-//! CPU shards own their `ParallelBackend` worker pool, and the one piece
-//! of genuinely shared state — the prepared graph — travels as
-//! `Arc<PreparedGraph>` (immutable after build, `Sync`). CPU shards
-//! deliberately share the *seed value* `cpu_seed` (plain `u64` copies,
-//! no RNG state aliasing): software backends key randomness by
-//! `(seed, query id)`, which is what makes a query's path independent of
-//! which CPU shard — and therefore which thread — serves it.
-
-use crate::{Driver, ServiceConfig, WalkService};
+use crate::{ServiceConfig, WalkService};
 use grw_algo::{ParallelBackend, PreparedGraph, WalkBackend, WalkSpec};
 use ridgewalker::Accelerator;
 use std::sync::Arc;
@@ -111,64 +94,21 @@ pub fn mixed_fleet_service(
     plan: &[ShardSpec],
     cpu_seed: u64,
 ) -> WalkService<DynWalkBackend> {
-    WalkService::new(
-        cfg,
-        fleet_factory(cfg, accel, prepared, spec, plan, cpu_seed),
-    )
-}
-
-/// [`mixed_fleet_service`] in driver-generic form: builds the fleet under
-/// whichever regime [`ServiceConfig::driver`] selects — the deterministic
-/// tick loop or the thread-per-shard [`ThreadedDriver`]
-/// (see the [thread-safety audit](self#thread-safety-audit-threaded-driver)
-/// in the module docs). Shard composition, seeds, and walk output
-/// (as a multiset) are identical in both regimes.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`mixed_fleet_service`].
-///
-/// [`ThreadedDriver`]: crate::ThreadedDriver
-pub fn mixed_fleet_driver(
-    cfg: ServiceConfig,
-    accel: &Accelerator,
-    prepared: Arc<PreparedGraph>,
-    spec: &WalkSpec,
-    plan: &[ShardSpec],
-    cpu_seed: u64,
-) -> Driver<DynWalkBackend> {
-    Driver::new(
-        cfg,
-        fleet_factory(cfg, accel, prepared, spec, plan, cpu_seed),
-    )
-}
-
-/// The shared shard factory behind every fleet constructor: shard `i`
-/// becomes whatever `plan[i]` says, regardless of which driver will run
-/// it.
-fn fleet_factory(
-    cfg: ServiceConfig,
-    accel: &Accelerator,
-    prepared: Arc<PreparedGraph>,
-    spec: &WalkSpec,
-    plan: &[ShardSpec],
-    cpu_seed: u64,
-) -> impl FnMut(usize) -> DynWalkBackend {
     assert_eq!(
         plan.len(),
         cfg.shards,
         "fleet plan must name exactly one spec per shard"
     );
     let base = *accel.config();
-    let spec = spec.clone();
-    let plan: Vec<ShardSpec> = plan.to_vec();
-    move |shard| shard_backend_from(base, prepared.clone(), &spec, plan[shard], shard, cpu_seed)
+    WalkService::new(cfg, |shard| {
+        shard_backend_from(base, prepared.clone(), spec, plan[shard], shard, cpu_seed)
+    })
 }
 
 /// The backend that shard `shard` receives in any fleet built from these
 /// ingredients — the single-shard form of the fleet constructors, public
 /// so elastic fleets can *append* shards after construction
-/// ([`crate::Driver::append_shard`]) under the exact seed discipline a
+/// ([`WalkService::append_shard`]) under the exact seed discipline a
 /// fleet born at that size would have used: a shard appended at index
 /// `i` is indistinguishable from one constructed at index `i`.
 pub fn shard_backend(
@@ -228,20 +168,6 @@ pub fn accelerator_service(
     // mixed constructor (the CPU seed is irrelevant — no CPU shards).
     let plan = vec![ShardSpec::Accel(mode); cfg.shards];
     mixed_fleet_service(cfg, accel, prepared, spec, &plan, 0)
-}
-
-/// [`accelerator_service`] in driver-generic form: a homogeneous
-/// accelerator fleet under whichever regime [`ServiceConfig::driver`]
-/// selects.
-pub fn accelerator_driver(
-    cfg: ServiceConfig,
-    accel: &Accelerator,
-    prepared: Arc<PreparedGraph>,
-    spec: &WalkSpec,
-    mode: AccelShardMode,
-) -> Driver<DynWalkBackend> {
-    let plan = vec![ShardSpec::Accel(mode); cfg.shards];
-    mixed_fleet_driver(cfg, accel, prepared, spec, &plan, 0)
 }
 
 #[cfg(test)]

@@ -25,15 +25,11 @@
 //!   absorbing sink backpressure. Concrete sinks (skip-gram corpora, PPR
 //!   aggregation, histograms, per-tenant fan-out) live in the `grw_sink`
 //!   crate.
-//! * **Two drivers** — the per-shard step logic lives in one
-//!   `ShardRunner` unit that executes under either the deterministic
-//!   tick loop below (this type — also exported as
-//!   [`DeterministicDriver`]) or the [`ThreadedDriver`], which gives
-//!   every shard its own OS thread behind bounded submission queues for
-//!   wall-clock throughput. For a fixed seed and submission sequence
-//!   both produce the same multiset of completed walks; see the
-//!   [`runner`](crate::ThreadedDriver) docs and pick with
-//!   [`DriverMode`].
+//! * **One runtime** — the per-shard step logic lives in one
+//!   `ShardRunner` unit, and [`WalkService`] steps every runner inline
+//!   in shard order on the caller's thread. Paths, tick stamps and obs
+//!   traces are a pure function of the seed and the submission/tick
+//!   sequence; `grw_route::Router` wraps this same type.
 //! * **Observability** — [`ServiceStats`]: throughput in MStep/s (wall
 //!   time, plus simulated time when backends report cycles), wall-clock
 //!   walks/s, queue depth (total and per shard), micro-batch p50/p99
@@ -74,24 +70,19 @@
 
 pub mod accel;
 mod batch;
-pub mod driver;
-mod mpsc;
 mod runner;
 pub mod sink;
 mod stats;
 mod tenant;
-mod threaded;
 
 pub use accel::{
-    accelerator_driver, accelerator_service, fleet_shard_seed, mixed_fleet_driver,
-    mixed_fleet_service, shard_backend, AccelShardMode, DynWalkBackend, ShardSpec,
+    accelerator_service, fleet_shard_seed, mixed_fleet_service, shard_backend, AccelShardMode,
+    DynWalkBackend, ShardSpec,
 };
 pub use batch::FlushReason;
-pub use driver::Driver;
 pub use sink::{SinkAck, SinkReport, WalkSink};
 pub use stats::{percentile, ServiceStats, TenantStats};
 pub use tenant::{TenantId, LOCAL_ID_BITS, MAX_LOCAL_ID};
-pub use threaded::ThreadedDriver;
 
 use grw_algo::{BackendClass, BackendTelemetry, WalkBackend, WalkPath, WalkQuery};
 use grw_obs::{Obs, GLOBAL_SHARD, SEQ_BASE_SPILL};
@@ -101,32 +92,10 @@ use sink::SpillDelivery;
 use stats::StatsCollector;
 use std::time::Instant;
 
-/// The deterministic driver *is* the tick-driven [`WalkService`]: one
-/// thread, shards stepped inline in index order, paths a pure function of
-/// the submission/tick sequence. The alias exists so driver-generic code
-/// can name both execution regimes symmetrically.
-pub type DeterministicDriver<B> = WalkService<B>;
-
 /// Smoothing factor for the per-shard latency EWMA: each delivery moves
 /// the estimate 1/8 of the way to its own latency — responsive enough for
 /// load-aware routing, smooth enough to ride out single-batch noise.
 const LATENCY_EWMA_ALPHA: f64 = 0.125;
-
-/// Which execution regime hosts the per-shard runners.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DriverMode {
-    /// The single-threaded logical-tick loop ([`WalkService`]): shards
-    /// step inline in index order, completions are bit-deterministic,
-    /// and wall-clock parallelism is zero. The right choice for tests,
-    /// baselines, and simulation studies.
-    #[default]
-    Deterministic,
-    /// One OS thread per shard behind bounded submission queues
-    /// ([`ThreadedDriver`]): same walks (multiset equality per tenant,
-    /// paths included), real wall-clock overlap across shards. The right
-    /// choice for serving actual traffic.
-    Threaded,
-}
 
 /// Configuration of a [`WalkService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,17 +120,11 @@ pub struct ServiceConfig {
     /// paths when streaming through [`WalkSink`]s.
     pub sink_spill_capacity: usize,
     /// Event capacity of the observability journal built by
-    /// [`Driver::attach_fresh_obs`] / [`WalkService::attach_fresh_obs`].
-    /// A run that outgrows it keeps the newest events and *counts* the
-    /// drop (surfaced by `obsdump` as a warning banner) — overflow is
-    /// never silent. Raise it for figure-scale runs whose traces must
-    /// stay complete.
+    /// [`WalkService::attach_fresh_obs`]. A run that outgrows it keeps
+    /// the newest events and *counts* the drop (surfaced by `obsdump` as
+    /// a warning banner) — overflow is never silent. Raise it for
+    /// figure-scale runs whose traces must stay complete.
     pub journal_capacity: usize,
-    /// Which driver the fleet constructors ([`mixed_fleet_driver`],
-    /// [`accelerator_driver`], [`Driver::new`]) build. The plain
-    /// [`WalkService::new`] constructor ignores this — it *is* the
-    /// deterministic driver.
-    pub driver: DriverMode,
 }
 
 impl ServiceConfig {
@@ -180,7 +143,6 @@ impl ServiceConfig {
             latency_reservoir: 4096,
             sink_spill_capacity: 1024,
             journal_capacity: grw_obs::DEFAULT_JOURNAL_CAPACITY,
-            driver: DriverMode::Deterministic,
         }
     }
 
@@ -236,7 +198,7 @@ impl ServiceConfig {
     }
 
     /// Sets the event capacity of the journal behind
-    /// [`Driver::attach_fresh_obs`].
+    /// [`WalkService::attach_fresh_obs`].
     ///
     /// # Panics
     ///
@@ -244,12 +206,6 @@ impl ServiceConfig {
     pub fn journal_capacity(mut self, n: usize) -> Self {
         assert!(n > 0, "journal capacity must be positive");
         self.journal_capacity = n;
-        self
-    }
-
-    /// Selects the execution regime for the fleet constructors.
-    pub fn driver_mode(mut self, mode: DriverMode) -> Self {
-        self.driver = mode;
         self
     }
 }
@@ -294,10 +250,9 @@ impl CompletedWalk {
 
 /// A point-in-time, per-shard view of the live signals a routing tier
 /// places tenants with: what the shard is (class, static cost prior),
-/// how loaded it is (coalescing-buffer depth, submission-queue backlog,
-/// backend residency and its awaiting/executing split where reported),
-/// and how it has been performing (per-shard latency EWMA, pipeline
-/// bubble ratio).
+/// how loaded it is (coalescing-buffer depth, backend residency and its
+/// awaiting/executing split where reported), and how it has been
+/// performing (per-shard latency EWMA, pipeline bubble ratio).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     /// Shard index within the service.
@@ -310,11 +265,6 @@ pub struct ShardSnapshot {
     pub queued: usize,
     /// Queries resident inside the backend (accepted, not yet returned).
     pub in_flight: usize,
-    /// Commands parked in the shard's submission queue, still awaiting
-    /// its worker thread. Always zero under the deterministic driver
-    /// (commands execute inline); under [`ThreadedDriver`] this is the
-    /// cross-thread backlog a placement tier should count as load.
-    pub pending_commands: usize,
     /// Backend-internal admission backlog (the accelerator machine's
     /// awaiting-injection count), when the backend reports the split.
     pub awaiting_injection: Option<usize>,
@@ -338,9 +288,9 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// Total queries this shard is responsible for right now (parked in
-    /// its buffer or submission queue plus resident in its backend).
+    /// its buffer plus resident in its backend).
     pub fn backlog(&self) -> usize {
-        self.queued + self.in_flight + self.pending_commands
+        self.queued + self.in_flight
     }
 }
 
@@ -488,7 +438,7 @@ impl<B: WalkBackend> WalkService<B> {
 
     /// The shard a start vertex routes to (stable vertex-hash partition).
     pub fn shard_of(&self, start: u32) -> usize {
-        shard_of(start, self.cfg.shards)
+        (SplitMix64::mix(u64::from(start)) % self.cfg.shards as u64) as usize
     }
 
     /// Offers queries on behalf of `tenant`; accepts a prefix and returns
@@ -628,6 +578,13 @@ impl<B: WalkBackend> WalkService<B> {
         let delivered = self.drain_into_sink(sink);
         self.flush_obs();
         delivered
+    }
+
+    /// Clean shutdown: [`drain`](Self::drain)s every shard and returns
+    /// the remaining walks with the final [`stats`](Self::stats).
+    pub fn finish(mut self) -> (Vec<CompletedWalk>, ServiceStats) {
+        let walks = self.drain();
+        (walks, self.stats())
     }
 
     /// The drain loop in streaming form: each round's completions go
@@ -825,7 +782,6 @@ impl<B: WalkBackend> WalkService<B> {
                     cost_hint: r.backend.cost_hint(),
                     queued: r.queued(),
                     in_flight: r.backend.in_flight(),
-                    pending_commands: 0,
                     awaiting_injection: t.occupancy_split.map(|(a, _)| a),
                     executing: t.occupancy_split.map(|(_, e)| e),
                     submitted: r.submitted,
@@ -837,12 +793,6 @@ impl<B: WalkBackend> WalkService<B> {
             })
             .collect()
     }
-}
-
-/// The stable vertex-hash shard partition both drivers share: which shard
-/// a start vertex routes to in an `n`-shard fleet.
-pub(crate) fn shard_of(start: u32, shards: usize) -> usize {
-    (SplitMix64::mix(u64::from(start)) % shards as u64) as usize
 }
 
 #[cfg(test)]

@@ -1,32 +1,19 @@
-//! The per-shard execution unit behind both drivers.
+//! The per-shard execution unit stepped by [`WalkService`](crate::WalkService).
 //!
 //! [`ShardRunner`] owns everything one shard needs to serve traffic: its
 //! backend, its micro-batch coalescer, and the per-query bookkeeping
 //! (arrival ticks, batch membership, latency EWMA). The step logic —
-//! micro-batcher flush → backend submit/poll → delivery accounting — is
-//! exactly the logic `WalkService` used to inline per shard; it lives
-//! here so the same unit can run under two execution regimes:
+//! micro-batcher flush → backend submit/poll → delivery accounting —
+//! runs inline on the caller's thread, one shard after another, when the
+//! service ticks.
 //!
-//! * the [`WalkService`](crate::WalkService) tick loop (the
-//!   *deterministic driver*), which steps every runner inline on the
-//!   caller's thread, one shard after another;
-//! * the [`ThreadedDriver`](crate::ThreadedDriver), which moves each
-//!   runner onto its own OS thread and feeds it the same command stream
-//!   through a bounded queue.
+//! A runner's evolution depends only on its *own* command sequence
+//! (accepts and tick advances, in order), so a shard produces
+//! bit-identical walks — including tick stamps — for the same stream,
+//! whatever the rest of the fleet does.
 //!
-//! Because a runner's evolution depends only on its *own* command
-//! sequence (accepts and tick advances, in order), a shard produces
-//! bit-identical walks — including tick stamps — no matter which driver
-//! hosts it. That is the load-bearing property behind the
-//! threaded-vs-deterministic multiset parity the `tests/threaded.rs`
-//! suite pins down.
-//!
-//! Stats flow through a [`StatsCollector`] passed into every mutating
-//! call: the deterministic driver hands every runner the one global
-//! collector (preserving the historical event order exactly), while the
-//! threaded driver gives each worker its own collector and merges them
-//! at report time (thread safety by ownership — no locks on the hot
-//! path).
+//! Stats flow through the service's one [`StatsCollector`], passed into
+//! every mutating call.
 
 use crate::batch::MicroBatcher;
 use crate::stats::StatsCollector;
@@ -49,9 +36,9 @@ struct BatchInFlight {
 pub(crate) struct ShardRunner<B: WalkBackend> {
     pub(crate) backend: B,
     batcher: MicroBatcher,
-    /// The shard's logical clock — synchronized with the driver's clock
+    /// The shard's logical clock — synchronized with the service clock
     /// by every [`accept`](Self::accept) / [`run_tick`](Self::run_tick)
-    /// call, so tick stamps are driver-independent.
+    /// call.
     tick: u64,
     /// Internal query id -> batches awaiting it, in flush order. The
     /// backend completes batches FIFO; the deque resolves a tenant
@@ -94,13 +81,6 @@ impl<B: WalkBackend> ShardRunner<B> {
         self.obs = obs;
     }
 
-    /// The last tick this runner advanced to — the clock a worker's
-    /// spill-delivery path stamps sink accepts with (drains do not
-    /// advance it, matching the deterministic driver).
-    pub(crate) fn now(&self) -> u64 {
-        self.tick
-    }
-
     /// Journals the shard's cumulative alias-cache telemetry at an
     /// export barrier (deduplicated inside the recorder — unchanged or
     /// all-zero counters journal nothing).
@@ -133,24 +113,6 @@ impl<B: WalkBackend> ShardRunner<B> {
             self.flush(FlushReason::Size, c);
         }
         true
-    }
-
-    /// [`accept`](Self::accept) over a slice: takes the longest prefix
-    /// the shard can hold and returns its length.
-    pub(crate) fn accept_batch(
-        &mut self,
-        queries: &[WalkQuery],
-        now: u64,
-        c: &mut StatsCollector,
-    ) -> usize {
-        let mut taken = 0;
-        for &q in queries {
-            if !self.accept(q, now, c) {
-                break;
-            }
-            taken += 1;
-        }
-        taken
     }
 
     /// Advances the shard to tick `now`: flushes every micro-batch that
@@ -186,9 +148,9 @@ impl<B: WalkBackend> ShardRunner<B> {
         (out, progressed)
     }
 
-    /// The full drain loop for one shard in isolation (the threaded
-    /// worker's shutdown/drain path): alternates buffer flushes and
-    /// backend drains until nothing is parked or in flight.
+    /// The full drain loop for one shard in isolation (the retiring
+    /// shard's path): alternates buffer flushes and backend drains until
+    /// nothing is parked or in flight.
     ///
     /// # Panics
     ///

@@ -149,12 +149,9 @@ impl<S: WalkSink + ?Sized> WalkSink for &mut S {
     }
 }
 
-/// The bounded spill buffer between a delivery stream and one sink: the
-/// conservation machinery (offer → spill on pushback → forced flush
-/// before the bound breaches) shared by the deterministic service and
-/// every threaded worker. Each holder owns its own instance — the spill
-/// belongs to the delivery *stream*, so a worker thread's spill never
-/// mixes with another shard's.
+/// The bounded spill buffer between the service's delivery stream and
+/// its sink: the conservation machinery (offer → spill on pushback →
+/// forced flush before the bound breaches).
 pub(crate) struct SpillDelivery {
     /// Completed walks a backpressured sink could not take yet, oldest
     /// first; bounded by the configured capacity.
@@ -163,7 +160,7 @@ pub(crate) struct SpillDelivery {
     /// Observability recorder for this delivery stream (disabled until a
     /// hub is attached). Spill events are stamped with the *walk's*
     /// completion tick — the spill has no clock of its own, and the walk
-    /// stamp is deterministic under both drivers.
+    /// stamp is deterministic.
     pub(crate) obs: ShardObs,
 }
 

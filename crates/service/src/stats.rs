@@ -63,22 +63,6 @@ impl Reservoir {
     pub(crate) fn seen(&self) -> u64 {
         self.seen
     }
-
-    /// Folds another reservoir's retained sample into this one, keeping
-    /// `seen()` equal to the union stream's length (exact counts are what
-    /// the mean/conservation statistics divide by). The merged *sample*
-    /// is approximate — `other`'s stream is represented by its retained
-    /// sample — which is the right trade for merging per-worker
-    /// collectors at report time: each worker's reservoir was exact or
-    /// uniform over its own stream, and ownership (one reservoir per
-    /// thread, merged after join) is what makes the whole scheme
-    /// thread-safe without locks.
-    pub(crate) fn merge(&mut self, other: &Reservoir) {
-        for &v in other.sample() {
-            self.push(v);
-        }
-        self.seen += other.seen - other.sample.len() as u64;
-    }
 }
 
 /// Per-tenant counters and a bounded latency reservoir.
@@ -196,45 +180,10 @@ impl StatsCollector {
         t.latency_sum += latency_ticks;
         t.latency_max = t.latency_max.max(latency_ticks);
     }
-
-    /// Folds another collector into this one — how the threaded driver
-    /// combines its submission-side collector with each worker's
-    /// delivery-side collector at report time. Counters add exactly;
-    /// reservoir samples merge approximately (see [`Reservoir::merge`]),
-    /// worker order fixed by the caller so reports are as reproducible
-    /// as the underlying wall-clock values allow.
-    pub(crate) fn merge(&mut self, other: &StatsCollector) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.batches_flushed += other.batches_flushed;
-        self.flushed_by_size += other.flushed_by_size;
-        self.flushed_by_deadline += other.flushed_by_deadline;
-        self.flushed_by_drain += other.flushed_by_drain;
-        self.batch_latencies_us.merge(&other.batch_latencies_us);
-        self.batch_latencies_ticks
-            .merge(&other.batch_latencies_ticks);
-        self.query_latencies_ticks
-            .merge(&other.query_latencies_ticks);
-        self.query_latency_sum += other.query_latency_sum;
-        self.query_latency_max = self.query_latency_max.max(other.query_latency_max);
-        self.sink_accepted += other.sink_accepted;
-        self.sink_backpressured += other.sink_backpressured;
-        self.sink_spilled += other.sink_spilled;
-        self.sink_forced_flushes += other.sink_forced_flushes;
-        for (&tenant, t) in &other.tenants {
-            let mine = self.tenant_mut(tenant);
-            mine.submitted += t.submitted;
-            mine.completed += t.completed;
-            mine.steps += t.steps;
-            mine.latencies_ticks.merge(&t.latencies_ticks);
-            mine.latency_sum += t.latency_sum;
-            mine.latency_max = mine.latency_max.max(t.latency_max);
-        }
-    }
 }
 
 /// Backend telemetry summed/merged across a fleet's shards — the
-/// aggregation both drivers feed into [`ServiceStats::build`].
+/// aggregation the service feeds into [`ServiceStats::build`].
 pub(crate) struct TelemetryRollup {
     pub steps: u64,
     /// `(slowest shard's cycles, slowest shard's simulated seconds)` when
@@ -407,8 +356,7 @@ pub struct ServiceStats {
     /// Queries routed to each shard (hash balance check).
     pub per_shard_submitted: Vec<u64>,
     /// Per-shard queue depth right now (coalescing buffer + backend
-    /// in-flight; under the threaded driver also the submission-queue
-    /// backlog) — the load-imbalance view `queue_depth` sums away.
+    /// in-flight) — the load-imbalance view `queue_depth` sums away.
     pub per_shard_queue_depth: Vec<usize>,
     /// Walks accepted by a sink under streaming delivery
     /// (`tick_into`/`drain_into` or an attached sink).

@@ -1,11 +1,11 @@
-//! Wall-clock QPS: deterministic tick loop vs thread-per-shard driver.
+//! Wall-clock QPS of the serving runtime.
 //!
-//! Replays one open-loop arrival stream against the identical CPU shard
-//! fleet under both execution regimes and reports wall-clock QPS,
-//! submit→harvest latency percentiles, and the cross-regime walk-multiset
-//! digest (which must match — same seeds, same walks, different
-//! schedulers). Writes `BENCH_qps.json`; CI gates only the deterministic
-//! counters, never the wall-clock numbers.
+//! Replays one open-loop arrival stream against a CPU shard fleet behind
+//! one `WalkService` and reports wall-clock QPS, submit→harvest latency
+//! percentiles, the obs overhead, and the walk-multiset digest (which
+//! every run of the stream — obs on or off — must reproduce). Writes
+//! `BENCH_qps.json`; CI gates only the deterministic counters and the
+//! obs-overhead ceiling, never the wall-clock numbers.
 //!
 //! ```text
 //! cargo run --release --example qps               # figure scale
@@ -23,7 +23,7 @@ fn main() {
     };
 
     println!(
-        "driver QPS bench ({} mode): {} queries, walk_len {}, {} shards, {} arrival\n",
+        "serving QPS bench ({} mode): {} queries, walk_len {}, {} shards, {} arrival\n",
         if smoke { "smoke" } else { "full" },
         cfg.queries,
         cfg.walk_len,
@@ -32,53 +32,18 @@ fn main() {
     );
 
     let report = run_qps_bench(&cfg);
-
-    for d in [&report.deterministic, &report.threaded] {
-        println!(
-            "  {:?}: {:.0} walks/s wall ({:.3}s, {} ticks), latency p50 {}us p99 {}us max {}us",
-            d.mode,
-            d.qps_wall,
-            d.wall_seconds,
-            d.ticks,
-            d.p50_latency_us,
-            d.p99_latency_us,
-            d.max_latency_us,
-        );
-    }
+    let d = &report.service;
     println!(
-        "\n  walk multisets match: digest {} | {} walks | {} steps (both regimes)",
-        report.deterministic.walk_digest,
-        report.deterministic.completed,
-        report.deterministic.steps
+        "  {:.0} walks/s wall ({:.3}s, {} ticks), latency p50 {}us p99 {}us max {}us",
+        d.qps_wall, d.wall_seconds, d.ticks, d.p50_latency_us, d.p99_latency_us, d.max_latency_us,
     );
     println!(
-        "  threaded speedup: {:.2}x wall on {} available core(s)\n",
-        report.speedup_wall(),
-        report.parallelism
+        "  obs overhead {:.2}% | digest {} | {} walks | {} steps (identical in every run)\n",
+        report.obs_overhead * 100.0,
+        d.walk_digest,
+        d.completed,
+        d.steps
     );
-
-    // The acceptance claims, checked on the spot. Determinism holds on
-    // any machine; the speedup claim needs real cores to stand on — a
-    // single-core CI runner serializes the worker threads and would only
-    // be measuring context-switch overhead.
-    assert!(
-        report.checksum_match(),
-        "both regimes must complete the identical walk multiset"
-    );
-    if report.parallelism >= 4 {
-        assert!(
-            report.speedup_wall() >= 2.0,
-            "with {} cores and {} shards the threaded driver should be >=2x wall QPS, got {:.2}x",
-            report.parallelism,
-            report.config.shards,
-            report.speedup_wall(),
-        );
-    } else {
-        println!(
-            "  (speedup assertion skipped: only {} core(s) available)",
-            report.parallelism
-        );
-    }
 
     std::fs::write(report.file_name(), report.to_json()).expect("write bench json");
     println!("wrote {}", report.file_name());

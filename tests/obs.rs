@@ -2,36 +2,35 @@
 //! **deterministic**. For a fixed seed and submission schedule the
 //! canonical trace — every admission, flush, delivery, and scale event,
 //! tick-stamped and sorted by `(tick, shard, seq)` — is *byte-identical*
-//! across the deterministic and threaded serving regimes, because every
-//! stamp is a machine tick and never a wall clock. A trace diff is
-//! therefore a real behavioural diff, never scheduler noise.
+//! from one run to the next, because every stamp is a machine tick and
+//! never a wall clock. A trace diff is therefore a real behavioural diff,
+//! never scheduler noise.
 //!
 //! Also pinned here: the spill-depth gauge regression. `sink_spill_depth`
 //! reports *live* backlog, so once a drain has run the spill dry it must
-//! read zero in both regimes — a cumulative count leaking into the gauge
-//! is exactly the drift this test exists to catch.
+//! read zero — a cumulative count leaking into the gauge is exactly the
+//! drift this test exists to catch.
 
+use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::obs::{jsonl_field, jsonl_num, Obs, SpanSet};
 use ridgewalker_suite::service::{
-    CompletedWalk, Driver, DriverMode, ServiceConfig, SinkAck, SinkReport, TenantId, WalkSink,
+    shard_backend, AccelShardMode, DynWalkBackend, ServiceConfig, ShardSpec, TenantId, WalkService,
 };
+use ridgewalker_suite::sink::CollectingSink;
 use std::sync::Arc;
 
 /// Plays a fixed stream with a mid-run scale schedule (grow to three
-/// shards after the second chunk, shrink back after the fourth) through
-/// one regime and returns the canonical trace.
-fn trace_of(mode: DriverMode) -> String {
+/// shards after the second chunk, shrink back after the fourth) and
+/// returns the canonical trace.
+fn trace_of_fixed_run() -> String {
     let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
     let spec = WalkSpec::urw(8);
     let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
     let make = |shard: usize| ReferenceBackend::new(p.clone(), spec.clone(), 0xD1CE ^ shard as u64);
-    let cfg = ServiceConfig::new(2)
-        .max_batch(8)
-        .max_delay_ticks(1)
-        .driver_mode(mode);
-    let mut d = Driver::new(cfg, make);
+    let cfg = ServiceConfig::new(2).max_batch(8).max_delay_ticks(1);
+    let mut d = WalkService::new(cfg, make);
     let obs = Obs::new();
     d.attach_obs(obs.clone());
     let qs = QuerySet::random(200, 300, 77);
@@ -54,11 +53,11 @@ fn trace_of(mode: DriverMode) -> String {
 }
 
 #[test]
-fn fixed_seed_trace_is_bit_identical_across_regimes() {
-    let det = trace_of(DriverMode::Deterministic);
-    let thr = trace_of(DriverMode::Threaded);
+fn fixed_seed_trace_is_bit_identical_across_runs() {
+    let det = trace_of_fixed_run();
+    let again = trace_of_fixed_run();
     assert!(!det.is_empty());
-    assert_eq!(det, thr, "canonical JSONL must match byte for byte");
+    assert_eq!(det, again, "canonical JSONL must match byte for byte");
 
     // The trace actually covers the run: one admission and one delivery
     // per query, batches in between, stamped with logical ticks only.
@@ -78,176 +77,132 @@ fn fixed_seed_trace_is_bit_identical_across_regimes() {
     }
 
     // Provenance rides on the same canonical order: the span trees (and
-    // with them the whole phase attribution) reconstruct identically
-    // from both regimes' traces.
+    // with them the whole phase attribution) reconstruct from the trace.
     let spans = SpanSet::from_trace(&det);
     assert_eq!(spans.spans.len(), 300, "one span per delivered query");
     assert_eq!(spans.dropped, 0);
-    assert_eq!(spans.summary(), SpanSet::from_trace(&thr).summary());
     // Fleet scale events are journaled by the Router, not the raw
-    // driver, so a raw-driver trace annotates no spans with them — the
+    // service, so a raw-service trace annotates no spans with them — the
     // end-to-end annotation check lives with the autoscale bench.
     assert!(spans.spans.iter().all(|s| s.scale_events == 0));
 }
 
-/// A sink that accepts at most `window` walks between flushes, forcing
-/// spills and forced flushes in both regimes.
-struct GatedSink {
-    window: usize,
-    since_flush: usize,
-    accepted: u64,
-    refused: u64,
-    flushes: u64,
-}
-
-impl WalkSink for GatedSink {
-    fn accept(&mut self, _walk: &CompletedWalk) -> SinkAck {
-        if self.since_flush >= self.window {
-            self.refused += 1;
-            return SinkAck::Backpressured;
-        }
-        self.since_flush += 1;
-        self.accepted += 1;
-        SinkAck::Accepted
-    }
-
-    fn flush(&mut self) {
-        self.since_flush = 0;
-        self.flushes += 1;
-    }
-
-    fn report(&self) -> SinkReport {
-        SinkReport {
-            accepted: self.accepted,
-            refused: self.refused,
-            flushes: self.flushes,
-            ..SinkReport::default()
-        }
-    }
-}
-
+/// Both sink-delivery regimes: a sink attached to the service
+/// (`attach_sink`, then `drain`) and one borrowed per call
+/// (`drain_into`).
 #[test]
 fn spill_depth_reads_zero_after_drain_in_both_regimes() {
-    for mode in [DriverMode::Deterministic, DriverMode::Threaded] {
-        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
-        let spec = WalkSpec::urw(10);
-        let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
-        let qs = QuerySet::random(p.graph().vertex_count(), 400, 29);
-        let p2 = p.clone();
-        let spec2 = spec.clone();
-        let mut d: Driver<_> = Driver::new(
-            ServiceConfig::new(2)
-                .max_batch(16)
-                .buffer_capacity(512)
-                .driver_mode(mode),
-            move |shard| ReferenceBackend::new(p2.clone(), spec2.clone(), 0xBEEF ^ shard as u64),
+    let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+    let spec = WalkSpec::urw(10);
+    let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
+    let qs = QuerySet::random(p.graph().vertex_count(), 400, 29);
+    // A tiny window forces refusals into the spill buffer.
+    let window = || CollectingSink::unbounded().capacity(5);
+    for attached in [true, false] {
+        let mut d = WalkService::new(
+            ServiceConfig::new(2).max_batch(16).buffer_capacity(512),
+            |shard| ReferenceBackend::new(p.clone(), spec.clone(), 0xBEEF ^ shard as u64),
         );
-        // A tiny window forces refusals into the spill buffer.
-        d.attach_sinks(|_shard| {
-            Box::new(GatedSink {
-                window: 5,
-                since_flush: 0,
-                accepted: 0,
-                refused: 0,
-                flushes: 0,
-            })
-        });
+        if attached {
+            d.attach_sink(Box::new(window()));
+        }
         assert_eq!(d.submit(TenantId(3), qs.queries()), 400);
-        let rest = d.drain();
-        assert!(rest.is_empty(), "{mode:?}: sunk walks never surface");
+        if attached {
+            assert!(d.drain().is_empty(), "sunk walks never surface");
+        } else {
+            assert_eq!(d.drain_into(&mut window()), 400);
+        }
         let stats = d.stats();
-        assert_eq!(stats.completed, 400, "{mode:?}: conservation");
-        assert_eq!(stats.sink_accepted, 400, "{mode:?}: all delivered");
+        assert_eq!(stats.completed, 400, "attached={attached}: conservation");
+        assert_eq!(
+            stats.sink_accepted, 400,
+            "attached={attached}: all delivered"
+        );
         assert!(
             stats.sink_spilled > 0,
-            "{mode:?}: the 5-walk window must actually spill"
+            "attached={attached}: the 5-walk window must actually spill"
         );
         assert_eq!(
             stats.sink_spill_depth, 0,
-            "{mode:?}: a finished drain leaves the spill dry — the depth \
-             gauge reports live backlog, not a cumulative count"
+            "attached={attached}: a finished drain leaves the spill dry — the \
+             depth gauge reports live backlog, not a cumulative count"
         );
-        // The cumulative counter keeps the history the gauge must not:
-        // a second stats() call right after must agree with the first.
+        // The cumulative counter keeps the history the gauge must not: a
+        // second stats() call right after must agree with the first.
         let again = d.stats();
-        assert_eq!(again.sink_spilled, stats.sink_spilled, "{mode:?}");
-        assert_eq!(again.sink_spill_depth, 0, "{mode:?}");
+        assert_eq!(
+            again.sink_spilled, stats.sink_spilled,
+            "attached={attached}"
+        );
+        assert_eq!(again.sink_spill_depth, 0, "attached={attached}");
     }
 }
 
-/// The tentpole invariant: for *every* delivered query, in *both*
-/// regimes, under a mid-run scale schedule with a backpressuring sink,
-/// the reconstructed phases sum **exactly** to the end-to-end latency —
+/// The tentpole invariant: for *every* delivered query, under a mid-run
+/// scale schedule with a backpressuring sink, the reconstructed phases
+/// sum **exactly** to the end-to-end latency —
 /// `batch-wait + backend-service + sink-wait == accepted - arrival`,
-/// tick for tick, no residuals.
+/// tick for tick, no residuals. Checked in both shard regimes: CPU shards
+/// that finish a batch inside its tick, and accelerator shards whose
+/// walks span ticks (so the backend-service phase is non-zero too).
 #[test]
 fn phase_decomposition_sums_exactly_in_both_regimes() {
-    for mode in [DriverMode::Deterministic, DriverMode::Threaded] {
-        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
-        let spec = WalkSpec::urw(8);
-        let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
-        let make =
-            |shard: usize| ReferenceBackend::new(p.clone(), spec.clone(), 0xFACE ^ shard as u64);
-        let mut d: Driver<_> = Driver::new(
+    let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+    let spec = WalkSpec::urw(8);
+    let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
+    let accel = Accelerator::new(AcceleratorConfig::new().pipelines(4).poll_quantum(16));
+    for accel_shards in [false, true] {
+        let make = |shard: usize| -> DynWalkBackend {
+            if accel_shards {
+                let mode = ShardSpec::Accel(AccelShardMode::Incremental);
+                shard_backend(&accel, p.clone(), &spec, mode, shard, 0)
+            } else {
+                Box::new(ReferenceBackend::new(
+                    p.clone(),
+                    spec.clone(),
+                    0xFACE ^ shard as u64,
+                ))
+            }
+        };
+        let mut d = WalkService::new(
             ServiceConfig::new(2)
                 .max_batch(8)
                 .max_delay_ticks(1)
-                .buffer_capacity(512)
-                .driver_mode(mode),
+                .buffer_capacity(512),
             make,
         );
         let obs = d.attach_fresh_obs();
         // A tight accept window prices the sink-wait phase, and the
         // mid-run scale schedule exercises migration/scale annotation
         // while spans are open.
-        d.attach_sinks(|_shard| {
-            Box::new(GatedSink {
-                window: 5,
-                since_flush: 0,
-                accepted: 0,
-                refused: 0,
-                flushes: 0,
-            })
-        });
+        d.attach_sink(Box::new(CollectingSink::unbounded().capacity(5)));
         let qs = QuerySet::random(200, 300, 99);
         for (i, chunk) in qs.queries().chunks(50).enumerate() {
-            assert_eq!(d.submit(TenantId(4), chunk), 50, "{mode:?}");
+            assert_eq!(d.submit(TenantId(4), chunk), 50);
             d.tick();
             match i {
-                1 => {
-                    assert_eq!(d.append_shard(make(2)), 2, "{mode:?}");
-                    // Sinks are per shard in the threaded regime, so
-                    // the newcomer needs its own delivery route too.
-                    d.attach_sinks(|_shard| {
-                        Box::new(GatedSink {
-                            window: 5,
-                            since_flush: 0,
-                            accepted: 0,
-                            refused: 0,
-                            flushes: 0,
-                        })
-                    });
-                }
-                3 => assert!(d.retire_shard().is_empty(), "{mode:?}: sunk"),
+                1 => assert_eq!(d.append_shard(make(2)), 2),
+                3 => assert!(d.retire_shard().is_empty(), "sunk"),
                 _ => {}
             }
         }
         let rest = d.drain();
-        assert!(rest.is_empty(), "{mode:?}: sunk walks never surface");
+        let label = if accel_shards { "accel" } else { "cpu" };
+        assert!(rest.is_empty(), "{label}: sunk walks never surface");
         let stats = d.stats();
-        assert_eq!(stats.completed, 300, "{mode:?}: conservation");
-        assert_eq!(obs.dropped(), 0, "{mode:?}: stream fits the ring");
+        assert_eq!(stats.completed, 300, "{label}: conservation");
+        assert_eq!(obs.dropped(), 0, "{label}: stream fits the ring");
 
         let spans = SpanSet::from_trace(&obs.trace_jsonl());
-        assert_eq!(spans.spans.len(), 300, "{mode:?}: one span per query");
-        assert_eq!(spans.unmatched_accepts, 0, "{mode:?}");
+        assert_eq!(spans.spans.len(), 300, "{label}: one span per query");
+        assert_eq!(spans.unmatched_accepts, 0, "{label}");
         let mut sink_wait_total = 0u64;
         for s in &spans.spans {
             assert_eq!(
                 s.phases().iter().sum::<u64>(),
                 s.total(),
-                "{mode:?}: span (tenant {}, query {}) must decompose \
-                 exactly: {:?} vs total {}",
+                "{label}: span (tenant {}, query {}) must decompose exactly: \
+                 {:?} vs total {}",
                 s.tenant,
                 s.query,
                 s.phases(),
@@ -255,18 +210,21 @@ fn phase_decomposition_sums_exactly_in_both_regimes() {
             );
             assert!(
                 s.accepted_tick.is_some(),
-                "{mode:?}: with a sink attached every span closes at accept"
+                "{label}: with a sink attached every span closes at accept"
             );
             sink_wait_total += s.phases()[2];
         }
         assert!(
             sink_wait_total > 0,
-            "{mode:?}: the 5-walk window must make some walks wait"
+            "{label}: the 5-walk window must make some walks wait"
         );
         // The aggregate face of the same invariant.
         let sum = spans.summary();
         assert_eq!(sum.count, 300);
         assert_eq!(sum.phase_sums.iter().sum::<u64>(), sum.total_sum);
+        if accel_shards {
+            assert!(sum.phase_sums[1] > 0, "accelerator walks span ticks");
+        }
     }
 }
 
@@ -279,7 +237,7 @@ fn journal_overflow_is_counted_never_silent() {
     let spec = WalkSpec::urw(8);
     let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
     let make = |shard: usize| ReferenceBackend::new(p.clone(), spec.clone(), 0xC0DE ^ shard as u64);
-    let mut d: Driver<_> = Driver::new(
+    let mut d = WalkService::new(
         ServiceConfig::new(2)
             .max_batch(8)
             .max_delay_ticks(1)

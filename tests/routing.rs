@@ -403,8 +403,8 @@ fn drained_shard_class_never_receives_queries() {
 /// execution: streaming the deliveries of a routed run into a
 /// backpressuring sink yields the exact per-tenant `CompletedWalk`
 /// multiset the identical routed run yields through legacy `tick`/
-/// `drain` — for both accelerator shard modes and both load-aware
-/// policies.
+/// `drain` — for both accelerator shard modes, under static hashing and
+/// both load-aware policies.
 #[test]
 fn routed_mixed_fleet_sink_delivery_conserves_every_walk() {
     let (prepared, spec) = setup();
@@ -416,15 +416,16 @@ fn routed_mixed_fleet_sink_delivery_conserves_every_walk() {
     let make_policy = |which: usize| -> Box<dyn RoutePolicy + Send> {
         match which {
             0 => Box::new(LeastLoadedPolicy),
-            _ => Box::new(AdaptivePolicy::new(AdaptiveConfig {
+            1 => Box::new(AdaptivePolicy::new(AdaptiveConfig {
                 min_dwell_ticks: 8,
                 ..AdaptiveConfig::default()
             })),
+            _ => Box::new(StaticHashPolicy),
         }
     };
 
     for mode in [AccelShardMode::Batch, AccelShardMode::Incremental] {
-        for which in 0..2 {
+        for which in 0..3 {
             let ops = random_schedule(0x3C ^ which as u64, tenants.len(), per_tenant);
 
             // Legacy consumption of the routed run.
@@ -457,6 +458,7 @@ fn routed_mixed_fleet_sink_delivery_conserves_every_walk() {
                 by_tenant(sunk),
                 "{mode:?}/{which}: per-tenant multisets must match exactly"
             );
+            assert_eq!(stats.completed, (tenants.len() * per_tenant) as u64);
             assert_eq!(stats.sink_accepted, (tenants.len() * per_tenant) as u64);
             assert_eq!(stats.sink_spill_depth, 0, "{mode:?}/{which}: spill ran dry");
             // Per-tenant attribution survives routing.

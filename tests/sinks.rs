@@ -1,6 +1,7 @@
 //! Sink-delivery properties, end to end: conservation (the exact
 //! multiset of `CompletedWalk`s reaches exactly one sink route, per
-//! tenant, under arbitrary schedules and backpressure) and bounded
+//! tenant, under arbitrary schedules and backpressure, whether the sink
+//! is borrowed per call or attached to the service) and bounded
 //! residency — for both accelerator shard modes.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
@@ -8,12 +9,12 @@ use ridgewalker_suite::algo::{PreparedGraph, QuerySet, WalkQuery, WalkSpec};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::rng::{RandomSource, SplitMix64};
 use ridgewalker_suite::service::{
-    accelerator_service, AccelShardMode, CompletedWalk, DynWalkBackend, ServiceConfig, TenantId,
-    WalkService,
+    accelerator_service, AccelShardMode, CompletedWalk, DynWalkBackend, ServiceConfig, SinkAck,
+    SinkReport, TenantId, WalkService,
 };
 use ridgewalker_suite::sink::{CollectingSink, CountingSink, HistogramSink, SinkRouter, WalkSink};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn setup() -> (Arc<PreparedGraph>, WalkSpec) {
     let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
@@ -105,6 +106,25 @@ fn replay(
     }
 }
 
+/// A sink the test keeps a handle to after handing it to the service:
+/// an attached sink is owned by the service, so the collected walks are
+/// read back through the shared handle.
+struct Shared(Arc<Mutex<CollectingSink>>);
+
+impl WalkSink for Shared {
+    fn accept(&mut self, walk: &CompletedWalk) -> SinkAck {
+        self.0.lock().unwrap().accept(walk)
+    }
+
+    fn flush(&mut self) {
+        self.0.lock().unwrap().flush();
+    }
+
+    fn report(&self) -> SinkReport {
+        self.0.lock().unwrap().report()
+    }
+}
+
 /// Groups walks per tenant, sorted for multiset comparison.
 fn by_tenant(walks: Vec<CompletedWalk>) -> HashMap<TenantId, Vec<CompletedWalk>> {
     let mut map: HashMap<TenantId, Vec<CompletedWalk>> = HashMap::new();
@@ -166,23 +186,47 @@ fn tick_into_yields_the_exact_multiset_of_the_legacy_path_per_tenant() {
             let stats = sink_svc.stats();
             let sunk = sink.into_walks();
 
+            // The same backpressuring collector *attached* to the
+            // service: `tick` streams into it, and `finish` (drain +
+            // final stats) must still deliver every walk.
+            let collected = Arc::new(Mutex::new(CollectingSink::unbounded().capacity(32)));
+            let mut attached_svc = service(&prepared, &spec, mode);
+            attached_svc.attach_sink(Box::new(Shared(collected.clone())));
+            replay(&mut attached_svc, &ops, &pools, &mut |svc| {
+                assert!(svc.tick().is_empty(), "an attached sink takes every walk");
+            });
+            let (rest, attached_stats) = attached_svc.finish();
+            assert!(
+                rest.is_empty(),
+                "{mode:?}/{sched_seed:#x}: finish returns nothing"
+            );
+            let attached = std::mem::take(&mut *collected.lock().unwrap()).into_walks();
+
             assert_eq!(
                 legacy.len(),
                 tenants.len() * per_tenant,
                 "{mode:?}/{sched_seed:#x}: legacy path must answer everything"
             );
             let legacy_groups = by_tenant(legacy);
-            let sink_groups = by_tenant(sunk);
             assert_eq!(
-                legacy_groups, sink_groups,
+                legacy_groups,
+                by_tenant(sunk),
                 "{mode:?}/{sched_seed:#x}: per-tenant multisets must match exactly"
             );
-            assert_eq!(stats.sink_accepted, (tenants.len() * per_tenant) as u64);
-            assert_eq!(stats.sink_spill_depth, 0, "drain_into runs the spill dry");
-            assert!(
-                stats.sink_backpressured > 0,
-                "{mode:?}/{sched_seed:#x}: the 32-walk window must push back"
+            assert_eq!(
+                legacy_groups,
+                by_tenant(attached),
+                "{mode:?}/{sched_seed:#x}: the attached sink must see the same multiset"
             );
+            for stats in [stats, attached_stats] {
+                assert_eq!(stats.completed, (tenants.len() * per_tenant) as u64);
+                assert_eq!(stats.sink_accepted, (tenants.len() * per_tenant) as u64);
+                assert_eq!(stats.sink_spill_depth, 0, "the drain runs the spill dry");
+                assert!(
+                    stats.sink_backpressured > 0,
+                    "{mode:?}/{sched_seed:#x}: the 32-walk window must push back"
+                );
+            }
         }
     }
 }

@@ -1,14 +1,21 @@
 //! The streaming execution spine, end to end: `WalkBackend` determinism
 //! against the legacy batch API, and the sharded multi-tenant
 //! `WalkService` built on top of it.
+//!
+//! Randomized cases are hand-rolled like `tests/properties.rs`: every
+//! case derives from a fixed seed, so runs are reproducible.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{
-    run_streamed, ParallelBackend, ParallelEngine, PreparedGraph, QuerySet, ReferenceEngine,
-    WalkBackend, WalkEngine, WalkSpec,
+    run_streamed, ParallelBackend, ParallelEngine, PreparedGraph, QuerySet, ReferenceBackend,
+    ReferenceEngine, WalkBackend, WalkEngine, WalkQuery, WalkSpec,
 };
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
-use ridgewalker_suite::service::{ServiceConfig, TenantId, WalkService};
+use ridgewalker_suite::rng::{RandomSource, SplitMix64};
+use ridgewalker_suite::service::{
+    accelerator_service, shard_backend, AccelShardMode, CompletedWalk, DynWalkBackend,
+    ServiceConfig, ServiceStats, ShardSpec, TenantId, WalkService,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -328,4 +335,127 @@ fn service_is_deterministic_for_a_fixed_submission_sequence() {
     let b = run();
     assert_eq!(a, b, "same submissions, same ticks -> same paths");
     assert_eq!(a.len(), 500);
+
+    // Random schedules: submit/tick interleavings over 1-4 CPU shards,
+    // the same with live append/retire scale events, and accelerator
+    // fleets in both shard modes. Each schedule runs twice and must
+    // conserve every walk — `finish()` usually lands mid-load — and
+    // reproduce it, tick stamps included.
+    let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+    let spec = WalkSpec::urw(12);
+    let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
+    let nv = p.graph().vertex_count();
+    let cpu = |shard: usize| -> DynWalkBackend {
+        Box::new(ReferenceBackend::new(
+            p.clone(),
+            spec.clone(),
+            0xD1CE ^ shard as u64,
+        ))
+    };
+    let mut finishes_under_load = 0;
+    for case in 0..20u64 {
+        let scale = case >= 12;
+        let shards = if scale { 2 } else { 1 + (case % 4) as usize };
+        let cfg = ServiceConfig::new(shards)
+            .max_batch(16 + 8 * (case as usize % 3))
+            .buffer_capacity(512);
+        let qs = QuerySet::random(nv, 300, 0x5EED ^ case);
+        let run = || drive_schedule(WalkService::new(cfg, cpu), &cpu, qs.queries(), case, scale);
+        let (walks, stats, load) = run();
+        assert_eq!(walks.len(), 300, "case {case}: stream conservation");
+        assert_eq!(stats.completed, 300, "case {case}");
+        let (again, again_stats, _) = run();
+        assert_eq!(walks, again, "case {case}: same schedule, same walks");
+        assert_eq!(stats.steps, again_stats.steps, "case {case}");
+        finishes_under_load += usize::from(load > 0);
+    }
+
+    let spec = WalkSpec::ppr(16);
+    let p = Arc::new(PreparedGraph::new(p.graph().clone(), &spec).unwrap());
+    let qs = QuerySet::random(nv, 400, 31);
+    let accel = Accelerator::new(AcceleratorConfig::new().pipelines(4).seed(7));
+    for mode in [AccelShardMode::Batch, AccelShardMode::Incremental] {
+        let append = |shard: usize| {
+            shard_backend(&accel, p.clone(), &spec, ShardSpec::Accel(mode), shard, 0)
+        };
+        for scale in [false, true] {
+            let run = || {
+                let cfg = ServiceConfig::new(2).max_batch(64).buffer_capacity(512);
+                let svc = accelerator_service(cfg, &accel, p.clone(), &spec, mode);
+                drive_schedule(svc, &append, qs.queries(), 0xACCE1, scale)
+            };
+            let (walks, stats, load) = run();
+            assert_eq!(walks.len(), 400, "{mode:?}/{scale}: conservation");
+            assert_eq!(stats.completed, 400, "{mode:?}/{scale}");
+            assert_eq!(walks, run().0, "{mode:?}/{scale}: accelerator fleet replay");
+            finishes_under_load += usize::from(load > 0);
+        }
+    }
+    assert!(
+        finishes_under_load > 0,
+        "some schedule must call finish() with work still queued"
+    );
+}
+
+/// One random drive schedule over `svc`: interleaved submit chunks
+/// (rotating tenants) and ticks — plus, when `scale` is set, shard
+/// appends (backends from `append`) and drain-in-place retirements —
+/// then `finish()` after 0-3 trailing ticks. The schedule derives from
+/// `seed` and test-tracked state only, never from service state, so two
+/// runs replay the identical command sequence. Returns every walk
+/// (sorted), the final stats, and the queue depth `finish()` found.
+fn drive_schedule(
+    mut svc: WalkService<DynWalkBackend>,
+    append: &dyn Fn(usize) -> DynWalkBackend,
+    queries: &[WalkQuery],
+    seed: u64,
+    scale: bool,
+) -> (Vec<CompletedWalk>, ServiceStats, usize) {
+    const MAX_SHARDS: usize = 4;
+    let mut rng = SplitMix64::new(0xCA5E ^ seed);
+    let mut walks = Vec::new();
+    let mut live = svc.shard_count();
+    let mut scale_events = 0;
+    let mut offset = 0;
+    while offset < queries.len() {
+        let roll = rng.next_below(10);
+        if roll < 6 {
+            let end = (offset + 1 + rng.next_below(48) as usize).min(queries.len());
+            let tenant = TenantId(1 + rng.next_below(4) as u16);
+            let mut part = &queries[offset..end];
+            while !part.is_empty() {
+                let taken = svc.submit(tenant, part);
+                part = &part[taken..];
+                if taken == 0 {
+                    walks.extend(svc.tick());
+                }
+            }
+            offset = end;
+        } else if roll < 8 || !scale {
+            walks.extend(svc.tick());
+        } else if rng.next_bool(0.5) && live < MAX_SHARDS {
+            assert_eq!(svc.append_shard(append(live)), live, "append index");
+            live += 1;
+            scale_events += 1;
+        } else if live > 1 {
+            walks.extend(svc.retire_shard());
+            live -= 1;
+            scale_events += 1;
+        }
+    }
+    if scale && scale_events == 0 {
+        // A seed whose rolls drew no scale event still exercises one.
+        assert_eq!(svc.append_shard(append(live)), live);
+        walks.extend(svc.retire_shard());
+    }
+    for _ in 0..rng.next_below(4) {
+        walks.extend(svc.tick());
+    }
+    let load = svc.queue_depth();
+    let (rest, stats) = svc.finish();
+    walks.extend(rest);
+    walks.sort_by(|a, b| {
+        (a.tenant, a.path.query, a.arrival_tick).cmp(&(b.tenant, b.path.query, b.arrival_tick))
+    });
+    (walks, stats, load)
 }
