@@ -487,8 +487,10 @@ impl<B: WalkBackend> WalkService<B> {
             if !self.runners[shard].accept(internal, self.tick, &mut self.collector) {
                 break;
             }
-            self.collector.record_submitted(tenant);
             accepted += 1;
+        }
+        if accepted > 0 {
+            self.collector.record_submitted(tenant, accepted as u64);
         }
         accepted
     }
@@ -661,7 +663,7 @@ impl<B: WalkBackend> WalkService<B> {
         self.tick += 1;
         let mut out = Vec::new();
         for r in &mut self.runners {
-            out.extend(r.run_tick(self.tick, &mut self.collector));
+            r.run_tick(self.tick, &mut self.collector, &mut out);
         }
         out
     }
@@ -676,9 +678,7 @@ impl<B: WalkBackend> WalkService<B> {
         let mut out = Vec::new();
         let mut progressed = false;
         for r in &mut self.runners {
-            let (walks, p) = r.drain_backend(&mut self.collector);
-            progressed |= p;
-            out.extend(walks);
+            progressed |= r.drain_backend(&mut self.collector, &mut out);
         }
         (out, progressed)
     }
@@ -1014,6 +1014,42 @@ mod tests {
         assert_eq!(starts, want);
         assert!(done.iter().all(|c| c.path.query == 5));
         assert_eq!(svc.stats().batches_flushed, 2);
+    }
+
+    #[test]
+    fn a_local_id_reused_on_one_shard_keeps_each_querys_own_stamps() {
+        let (p, spec) = shared();
+        // One shard executing one query per poll, so the first use of the
+        // id is still in flight when the second arrives.
+        let mut svc = WalkService::new(ServiceConfig::new(1).max_delay_ticks(1), move |_| {
+            ReferenceBackend::new(p.clone(), spec.clone(), 0xBEEF).poll_chunk(1)
+        });
+        let (a, b) = (3, 11);
+        let first = [WalkQuery { id: 1, start: 0 }, WalkQuery { id: 7, start: a }];
+        assert_eq!(svc.submit(TenantId(4), &first), 2);
+        let mut done = svc.tick(); // tick 1: flushes both, runs id 1
+        assert_eq!(done.len(), 1);
+        assert_eq!(
+            svc.stats().queue_depth,
+            1,
+            "the first id-7 query is in flight"
+        );
+        assert_eq!(svc.submit(TenantId(4), &[WalkQuery { id: 7, start: b }]), 1);
+        while done.len() < 3 {
+            done.extend(svc.tick());
+        }
+        let stamps = |start: u32| {
+            let c = done
+                .iter()
+                .find(|c| c.path.query == 7 && c.path.vertices[0] == start)
+                .expect("each use of the id completes");
+            (c.arrival_tick, c.flushed_tick, c.completed_tick)
+        };
+        assert_eq!(stamps(a), (0, 1, 2));
+        assert_eq!(stamps(b), (1, 2, 3));
+        assert_eq!(svc.stats().batches_flushed, 2);
+        assert_eq!(svc.collector.batch_latencies_ticks.seen(), 2);
+        assert_eq!(svc.stats().queue_depth, 0);
     }
 
     /// Test sink: collects walks, optionally refusing while its window

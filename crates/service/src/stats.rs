@@ -164,9 +164,11 @@ impl StatsCollector {
             .or_insert_with(|| TenantCollector::new(cap))
     }
 
-    pub(crate) fn record_submitted(&mut self, tenant: TenantId) {
-        self.submitted += 1;
-        self.tenant_mut(tenant).submitted += 1;
+    /// Counts `n` accepted queries of `tenant` (one accepted run of a
+    /// submit call).
+    pub(crate) fn record_submitted(&mut self, tenant: TenantId, n: u64) {
+        self.submitted += n;
+        self.tenant_mut(tenant).submitted += n;
     }
 
     pub(crate) fn record_query_done(&mut self, tenant: TenantId, latency_ticks: u64, steps: u64) {
@@ -625,9 +627,8 @@ mod tests {
     #[test]
     fn per_tenant_breakdown_separates_tenants() {
         let mut c = StatsCollector::new(16);
-        c.record_submitted(TenantId(1));
-        c.record_submitted(TenantId(1));
-        c.record_submitted(TenantId(7));
+        c.record_submitted(TenantId(1), 2);
+        c.record_submitted(TenantId(7), 1);
         c.record_query_done(TenantId(1), 4, 3);
         c.record_query_done(TenantId(1), 8, 3);
         c.record_query_done(TenantId(7), 20, 5);

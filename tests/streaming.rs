@@ -353,14 +353,21 @@ fn service_is_deterministic_for_a_fixed_submission_sequence() {
         ))
     };
     let mut finishes_under_load = 0;
-    for case in 0..20u64 {
-        let scale = case >= 12;
+    // Cases 20.. reuse tenant-local ids: drawn from 0..8, every id
+    // repeats inside a shard while earlier uses are queued or in flight.
+    for case in 0..26u64 {
+        let scale = (12..20).contains(&case) || case == 25;
         let shards = if scale { 2 } else { 1 + (case % 4) as usize };
         let cfg = ServiceConfig::new(shards)
             .max_batch(16 + 8 * (case as usize % 3))
             .buffer_capacity(512);
         let qs = QuerySet::random(nv, 300, 0x5EED ^ case);
-        let run = || drive_schedule(WalkService::new(cfg, cpu), &cpu, qs.queries(), case, scale);
+        let queries = if case >= 20 {
+            reuse_ids(qs.queries(), case)
+        } else {
+            qs.queries().to_vec()
+        };
+        let run = || drive_schedule(WalkService::new(cfg, cpu), &cpu, &queries, case, scale);
         let (walks, stats, load) = run();
         assert_eq!(walks.len(), 300, "case {case}: stream conservation");
         assert_eq!(stats.completed, 300, "case {case}");
@@ -378,16 +385,24 @@ fn service_is_deterministic_for_a_fixed_submission_sequence() {
         let append = |shard: usize| {
             shard_backend(&accel, p.clone(), &spec, ShardSpec::Accel(mode), shard, 0)
         };
-        for scale in [false, true] {
+        // Accelerator shards complete out of order, so reused ids come
+        // back in a different order than they went in.
+        for (scale, reuse) in [(false, false), (true, false), (false, true), (true, true)] {
+            let queries = if reuse {
+                reuse_ids(qs.queries(), 0xACCE1)
+            } else {
+                qs.queries().to_vec()
+            };
             let run = || {
                 let cfg = ServiceConfig::new(2).max_batch(64).buffer_capacity(512);
                 let svc = accelerator_service(cfg, &accel, p.clone(), &spec, mode);
-                drive_schedule(svc, &append, qs.queries(), 0xACCE1, scale)
+                drive_schedule(svc, &append, &queries, 0xACCE1, scale)
             };
             let (walks, stats, load) = run();
-            assert_eq!(walks.len(), 400, "{mode:?}/{scale}: conservation");
-            assert_eq!(stats.completed, 400, "{mode:?}/{scale}");
-            assert_eq!(walks, run().0, "{mode:?}/{scale}: accelerator fleet replay");
+            let input = format!("{mode:?}/scale {scale}/reuse {reuse}");
+            assert_eq!(walks.len(), 400, "{input}: conservation");
+            assert_eq!(stats.completed, 400, "{input}");
+            assert_eq!(walks, run().0, "{input}: accelerator fleet replay");
             finishes_under_load += usize::from(load > 0);
         }
     }
@@ -397,6 +412,19 @@ fn service_is_deterministic_for_a_fixed_submission_sequence() {
     );
 }
 
+/// `queries` with their ids replaced by draws from `0..8`, so one
+/// tenant-local id is in use many times at once.
+fn reuse_ids(queries: &[WalkQuery], seed: u64) -> Vec<WalkQuery> {
+    let mut rng = SplitMix64::new(0x1D ^ seed);
+    queries
+        .iter()
+        .map(|q| WalkQuery {
+            id: rng.next_below(8),
+            start: q.start,
+        })
+        .collect()
+}
+
 /// One random drive schedule over `svc`: interleaved submit chunks
 /// (rotating tenants) and ticks — plus, when `scale` is set, shard
 /// appends (backends from `append`) and drain-in-place retirements —
@@ -404,6 +432,10 @@ fn service_is_deterministic_for_a_fixed_submission_sequence() {
 /// `seed` and test-tracked state only, never from service state, so two
 /// runs replay the identical command sequence. Returns every walk
 /// (sorted), the final stats, and the queue depth `finish()` found.
+///
+/// Checks on the way that, per tenant and local id, the `arrival_tick`s
+/// delivered are exactly the ticks the queries were accepted at (as
+/// multisets: a reused id may complete out of order).
 fn drive_schedule(
     mut svc: WalkService<DynWalkBackend>,
     append: &dyn Fn(usize) -> DynWalkBackend,
@@ -417,6 +449,7 @@ fn drive_schedule(
     let mut live = svc.shard_count();
     let mut scale_events = 0;
     let mut offset = 0;
+    let mut submit_ticks: HashMap<(TenantId, u64), Vec<u64>> = HashMap::new();
     while offset < queries.len() {
         let roll = rng.next_below(10);
         if roll < 6 {
@@ -425,6 +458,12 @@ fn drive_schedule(
             let mut part = &queries[offset..end];
             while !part.is_empty() {
                 let taken = svc.submit(tenant, part);
+                for q in &part[..taken] {
+                    submit_ticks
+                        .entry((tenant, q.id))
+                        .or_default()
+                        .push(svc.now());
+                }
                 part = &part[taken..];
                 if taken == 0 {
                     walks.extend(svc.tick());
@@ -457,5 +496,16 @@ fn drive_schedule(
     walks.sort_by(|a, b| {
         (a.tenant, a.path.query, a.arrival_tick).cmp(&(b.tenant, b.path.query, b.arrival_tick))
     });
+    let mut arrival_ticks: HashMap<(TenantId, u64), Vec<u64>> = HashMap::new();
+    for w in &walks {
+        let ticks = arrival_ticks.entry((w.tenant, w.path.query)).or_default();
+        ticks.push(w.arrival_tick);
+    }
+    // Submit ticks never decrease, and the sort above orders each
+    // key's arrival ticks, so equal vectors are equal multisets.
+    assert_eq!(
+        arrival_ticks, submit_ticks,
+        "arrival ticks per (tenant, id)"
+    );
     (walks, stats, load)
 }
